@@ -383,25 +383,6 @@ let scalability_table () =
 (* PR2: the parallel batch engine, 1 vs N domains                     *)
 (* ------------------------------------------------------------------ *)
 
-(* a >=10k-node tree with ~1k marked outputs: [branches] independent
-   chains off the root, an output marked every [mark_every] sections *)
-let wide_tree ~branches ~sections ~mark_every =
-  let b = Rctree.Tree.Builder.create ~name:"wide" () in
-  let root = Rctree.Tree.Builder.input b in
-  for br = 0 to branches - 1 do
-    let first = Rctree.Tree.Builder.add_resistor b ~parent:root 25. in
-    Rctree.Tree.Builder.add_capacitance b first 0.5;
-    let at = ref first in
-    for s = 1 to sections - 1 do
-      let next = Rctree.Tree.Builder.add_resistor b ~parent:!at 10. in
-      Rctree.Tree.Builder.add_capacitance b next 1.;
-      if s mod mark_every = 0 then
-        Rctree.Tree.Builder.mark_output b ~label:(Printf.sprintf "b%d.s%d" br s) next;
-      at := next
-    done
-  done;
-  Rctree.Tree.Builder.finish b
-
 (* (workload, shape, [(domains, ms-per-run)]) *)
 let parallel_rows () =
   Gc.compact ();
@@ -420,11 +401,6 @@ let parallel_rows () =
             (domains, wall ~reps (fun () -> f pool))))
       [ 1; 2; 4 ]
   in
-  let tree =
-    if quick then wide_tree ~branches:4 ~sections:160 ~mark_every:10
-    else wide_tree ~branches:16 ~sections:640 ~mark_every:10
-  in
-  let h = Rctree.Analysis.make tree in
   let adder = Sta.Generate.ripple_carry_adder ~bits:(if quick then 16 else 64) () in
   let p = Tech.Process.default_4um in
   let params = Tech.Pla.default_params p in
@@ -433,10 +409,6 @@ let parallel_rows () =
     (t, snd (List.hd (Rctree.Tree.outputs t)))
   in
   [
-    ( "rctree.all_times",
-      Printf.sprintf "%d nodes, %d outputs" (Rctree.Tree.node_count tree)
-        (List.length (Rctree.Analysis.outputs h)),
-      time_at_domains ~reps:3 (fun pool -> Rctree.Analysis.all_times ~pool h) );
     ( "sta.run_exn",
       Printf.sprintf "%d-bit adder, %d instances"
         (if quick then 16 else 64)

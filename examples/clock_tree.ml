@@ -57,13 +57,14 @@ let () =
     Printf.printf "%s\n" title;
     let table = Reprolib.Table.create ~columns:[ "leaf"; "tmin(ns)"; "tmax(ns)"; "elmore(ns)" ] in
     let lo_all = ref infinity and hi_all = ref neg_infinity in
-    List.iter
+    let h = Rctree.Analysis.make tree in
+    Array.iter
       (fun (label, id, ts) ->
-        let lo, hi = Rctree.delay_bounds tree ~output:id ~threshold:0.5 in
+        let lo, hi = Rctree.Analysis.delay_bounds h ~output:(`Id id) ~threshold:0.5 in
         lo_all := Float.min !lo_all lo;
         hi_all := Float.max !hi_all hi;
         Reprolib.Table.add_row table [ label; fmt lo; fmt hi; fmt ts.Rctree.Times.t_d ])
-      (Rctree.Moments.all_output_times tree);
+      (Rctree.Analysis.all_times h);
     Reprolib.Table.print table;
     Printf.printf "certified skew bound: %.4f ns\n" ((!hi_all -. !lo_all) *. 1e9);
     Printf.printf

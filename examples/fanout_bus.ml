@@ -67,9 +67,10 @@ let () =
   let table =
     Reprolib.Table.create ~columns:[ "output"; "T_De"; "tmin@0.5"; "tmax@0.5"; "exact"; "inside" ]
   in
-  List.iter
+  let h = Rctree.Analysis.make tree in
+  Array.iter
     (fun (label, id, ts) ->
-      let lo, hi = Rctree.delay_bounds tree ~output:id ~threshold:0.5 in
+      let lo, hi = Rctree.Analysis.delay_bounds h ~output:(`Id id) ~threshold:0.5 in
       let exact = Circuit.Measure.exact_delay tree ~output:id ~threshold:0.5 in
       Reprolib.Table.add_row table
         [
@@ -80,16 +81,15 @@ let () =
           fmt exact;
           string_of_bool (lo <= exact && exact <= hi);
         ])
-    (Rctree.Moments.all_output_times tree);
+    (Rctree.Analysis.all_times h);
   Reprolib.Table.print table;
 
   (* certification at a 5 ns budget, the paper's third use case *)
   print_newline ();
-  List.iter
-    (fun (label, id) ->
-      let verdict = Rctree.certify tree ~output:id ~threshold:0.5 ~deadline:5e-9 in
+  Array.iter
+    (fun (label, _, verdict) ->
       Printf.printf "settled at %s by 5 ns: %s\n" label (Rctree.Bounds.verdict_to_string verdict))
-    (Rctree.Tree.outputs tree);
+    (Rctree.Analysis.all_certify h ~threshold:0.5 ~deadline:5e-9);
 
   (* the network as a SPICE deck (interchange format) *)
   print_newline ();

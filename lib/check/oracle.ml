@@ -3,6 +3,7 @@ let segments = 8
 type t = {
   case : Case.t;
   times : Rctree.Times.t Lazy.t;
+  moments_times : Rctree.Times.t Lazy.t;
   times_direct : Rctree.Times.t Lazy.t;
   expr_times : Rctree.Times.t Lazy.t;
   lumped : Rctree.Tree.t Lazy.t;
@@ -10,6 +11,10 @@ type t = {
   lumped_times : Rctree.Times.t Lazy.t;
   exact : Circuit.Exact.t Lazy.t;
 }
+
+(* what users get: the one-pass handle *)
+let handle_times tree output =
+  Rctree.Analysis.times (Rctree.Analysis.make tree) ~output:(`Id output)
 
 let make (case : Case.t) =
   let tree = case.Case.tree in
@@ -24,18 +29,19 @@ let make (case : Case.t) =
   in
   {
     case;
-    times = lazy (Rctree.Moments.times tree ~output);
+    times = lazy (handle_times tree output);
+    moments_times = lazy (Rctree.Moments.times tree ~output);
     times_direct = lazy (Rctree.Moments.times_direct tree ~output);
     expr_times = lazy (Rctree.Expr.times (Rctree.Convert.expr_of_tree tree ~output));
     lumped;
     lumped_output;
-    lumped_times =
-      lazy (Rctree.Moments.times (Lazy.force lumped) ~output:(Lazy.force lumped_output));
+    lumped_times = lazy (handle_times (Lazy.force lumped) (Lazy.force lumped_output));
     exact = lazy (Circuit.Exact.of_tree (Lazy.force lumped));
   }
 
 let case o = o.case
 let times o = Lazy.force o.times
+let moments_times o = Lazy.force o.moments_times
 let times_direct o = Lazy.force o.times_direct
 let expr_times o = Lazy.force o.expr_times
 let lumped o = Lazy.force o.lumped
@@ -46,8 +52,9 @@ let degenerate o = Rctree.Times.is_degenerate (lumped_times o)
 
 let registry =
   [
-    ( "Moments.times (fast path algebra, closed-form lines)",
-      "Moments.times_direct (textbook LCA method) and Expr.times (five-tuple algebra)" );
+    ( "Analysis.times (one all-node pass, Moments.all_sums, closed-form lines)",
+      "Moments.times (per-output path algebra), Moments.times_direct (textbook LCA method) and \
+       Expr.times (five-tuple algebra)" );
     ( "Bounds.v_min/v_max (eqs. 8-12)",
       "Circuit.Exact eigendecomposition of the discretized network, sampled over [0, 5 T_P]" );
     ( "Bounds.t_min/t_max (eqs. 13-17)",

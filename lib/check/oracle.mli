@@ -25,18 +25,25 @@ val make : Case.t -> t
 val case : t -> Case.t
 
 val times : t -> Rctree.Times.t
-(** Fast method ({!Rctree.Moments.times}) on the original tree. *)
+(** The production answer: an {!Rctree.Analysis} handle on the
+    original tree (one all-node pass), queried at the output. *)
+
+val moments_times : t -> Rctree.Times.t
+(** Per-output O(n) path algebra ({!Rctree.Moments.times}) — first
+    oracle for {!times}. *)
 
 val times_direct : t -> Rctree.Times.t
-(** Textbook O(n·depth) LCA method — first oracle for {!times}. *)
+(** Textbook O(n·depth) LCA method — second oracle for {!times}. *)
 
 val expr_times : t -> Rctree.Times.t
 (** Via {!Rctree.Convert.expr_of_tree} and the five-tuple algebra —
-    second oracle for {!times}. *)
+    third oracle for {!times}. *)
 
 val lumped : t -> Rctree.Tree.t
 val lumped_output : t -> Rctree.Tree.node_id
+
 val lumped_times : t -> Rctree.Times.t
+(** As {!times}, on the lumped tree: what every bound property checks. *)
 
 val exact : t -> Circuit.Exact.t
 (** Eigendecomposition of the lumped tree. *)

@@ -44,9 +44,8 @@ let with_tree path f =
 
 let fmt_s t = Rctree.Units.format_quantity ~unit_symbol:"s" t
 
-(* every all-outputs subcommand builds one Analysis handle and runs
-   its batch queries through the shared pool (sized by --jobs /
-   RCDELAY_JOBS); output is identical to the old per-output loops *)
+(* every all-outputs subcommand builds one Analysis handle — one
+   all-node moments pass — and answers each output from it *)
 
 let times_cmd path =
   with_tree path (fun tree ->
@@ -236,7 +235,7 @@ let ramp_cmd path rise threshold =
         let table =
           Reprolib.Table.create ~columns:[ "output"; "step window"; "ramp window" ]
         in
-        List.iter
+        Array.iter
           (fun (label, _, ts) ->
             let slo, shi = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold) in
             let rlo, rhi = Rctree.Excitation.crossing_bounds ts input ~threshold in
@@ -246,7 +245,7 @@ let ramp_cmd path rise threshold =
                 Printf.sprintf "[%s, %s]" (fmt_s slo) (fmt_s shi);
                 Printf.sprintf "[%s, %s]" (fmt_s rlo) (fmt_s rhi);
               ])
-          (Rctree.Moments.all_output_times tree);
+          (Rctree.Analysis.all_times (Rctree.Analysis.make tree));
         Reprolib.Table.print table;
         0
       end)
@@ -560,7 +559,7 @@ let fig10_cmd () =
    observability wiring itself *)
 let stats_cmd () =
   Obs.set_enabled true;
-  let pool_ok = ref false in
+  let handle_ok = ref false in
   let incr_ok = ref false in
   Obs.Span.with_ ~name:"cli.stats.workload" (fun () ->
       let expr = Rctree.Expr.fig7 in
@@ -588,15 +587,17 @@ let stats_cmd () =
         (Circuit.Large.step_response ~solver:`Cg chain ~dt:1e-10 ~t_end:2e-9 ~outputs:[ out ]);
       let adder = Sta.Generate.ripple_carry_adder ~bits:4 () in
       ignore (Sta.Report.timing_report (Sta.Analysis.run_exn adder));
-      (* the parallel engine: batch characteristic times of every node
-         of the chain through a 2-domain pool, checked bit-for-bit
-         against serial one-shot queries *)
-      Parallel.Pool.with_pool ~domains:2 (fun pool ->
-          let h = Rctree.Analysis.make chain in
-          let nodes = Array.init (Rctree.Tree.node_count chain) (fun i -> i) in
-          let par = Rctree.Analysis.times_of_nodes ~pool h nodes in
-          let ser = Array.map (fun id -> Rctree.Moments.times chain ~output:id) nodes in
-          pool_ok := par = ser);
+      (* the query handle: every node of the chain from its one
+         all-node pass, against the per-output reference *)
+      let h = Rctree.Analysis.make chain in
+      let nodes = Array.init (Rctree.Tree.node_count chain) Fun.id in
+      let close a b = Numeric.Float_cmp.approx_eq ~rtol:1e-12 ~atol:0. a b in
+      handle_ok :=
+        Array.for_all2
+          (fun id (ts : Rctree.Times.t) ->
+            let r = Rctree.Moments.times chain ~output:id in
+            close ts.t_p r.t_p && close ts.t_d r.t_d && close ts.t_r r.t_r)
+          nodes (Rctree.Analysis.times_of_nodes h nodes);
       (* the incremental engine: edit fig7, cross-check the memoized
          result bit-for-bit against from-scratch evaluation of the
          edited expression *)
@@ -633,16 +634,16 @@ let stats_cmd () =
       ]
   in
   let no_span = Obs.Span.calls "circuit.transient" = 0 || Obs.Span.calls "sta.report" = 0 in
-  if missing = [] && (not no_span) && !pool_ok && !incr_ok then begin
+  if missing = [] && (not no_span) && !handle_ok && !incr_ok then begin
     print_endline "self-test: all instrumented layers reported";
-    print_endline "self-test: pool results bit-identical to serial";
+    print_endline "self-test: handle agrees with per-output Moments.times to 1e-12";
     print_endline "self-test: incremental edits bit-identical to from-scratch";
     0
   end
   else begin
     List.iter (fun n -> prerr_endline ("self-test: no samples from " ^ n)) missing;
     if no_span then prerr_endline "self-test: expected spans missing";
-    if not !pool_ok then prerr_endline "self-test: pool results differ from serial";
+    if not !handle_ok then prerr_endline "self-test: handle differs from per-output Moments.times";
     if not !incr_ok then prerr_endline "self-test: incremental results differ from from-scratch";
     1
   end

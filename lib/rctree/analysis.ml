@@ -4,7 +4,9 @@ let m_batches = Obs.Counter.make "rctree.analysis_batches"
 
 type t = {
   tree : Tree.t;
-  rkk : float array; (* R_kk of every node, the shared-path prefix table *)
+  t_p : float;
+  t_d : float array; (* T_De with every node as the output *)
+  t_r : float array; (* T_Re, likewise *)
   outputs : (string * Tree.node_id) list;
 }
 
@@ -12,7 +14,8 @@ type output = [ `Id of Tree.node_id | `Name of string ]
 
 let make tree =
   Obs.Counter.incr m_handles;
-  { tree; rkk = Path.all_resistances_to_root tree; outputs = Tree.outputs tree }
+  let t_p, t_d, t_r = Moments.all_sums tree in
+  { tree; t_p; t_d; t_r; outputs = Tree.outputs tree }
 
 let tree t = t.tree
 let outputs t = t.outputs
@@ -27,9 +30,12 @@ let resolve t = function
       | Some id -> id
       | None -> invalid_arg (Printf.sprintf "Rctree.Analysis: no output labelled %S" label))
 
+(* eq. (7) is checked here, per answer, so a node nobody asks about
+   cannot make [make] raise *)
 let times t ~output =
   Obs.Counter.incr m_queries;
-  Moments.times ~rkk:t.rkk t.tree ~output:(resolve t output)
+  let id = resolve t output in
+  Times.make ~t_p:t.t_p ~t_d:t.t_d.(id) ~t_r:t.t_r.(id)
 
 let delay_bounds t ~output ~threshold =
   let ts = times t ~output in
@@ -42,23 +48,16 @@ let voltage_bounds t ~output ~time =
 let certify t ~output ~threshold ~deadline = Bounds.certify (times t ~output) ~threshold ~deadline
 let elmore t ~output = (times t ~output).Times.t_d
 
-let batch ?pool t f =
+let batch f xs =
   Obs.Counter.incr m_batches;
-  Obs.Span.with_ ~name:"rctree.analysis_batch" @@ fun () ->
-  Parallel.Pool.map ?pool (fun (label, id) -> (label, id, f id)) (Array.of_list t.outputs)
+  Obs.Span.with_ ~name:"rctree.analysis_batch" @@ fun () -> Array.map f xs
 
-let all_times ?pool t = batch ?pool t (fun id -> times t ~output:(`Id id))
+let per_output t f = batch (fun (label, id) -> (label, id, f (`Id id))) (Array.of_list t.outputs)
+let all_times ?pool:_ t = per_output t (fun output -> times t ~output)
+let all_delay_bounds t ~threshold = per_output t (fun output -> delay_bounds t ~output ~threshold)
+let all_voltage_bounds t ~time = per_output t (fun output -> voltage_bounds t ~output ~time)
 
-let all_delay_bounds ?pool t ~threshold =
-  batch ?pool t (fun id -> delay_bounds t ~output:(`Id id) ~threshold)
+let all_certify t ~threshold ~deadline =
+  per_output t (fun output -> certify t ~output ~threshold ~deadline)
 
-let all_voltage_bounds ?pool t ~time =
-  batch ?pool t (fun id -> voltage_bounds t ~output:(`Id id) ~time)
-
-let all_certify ?pool t ~threshold ~deadline =
-  batch ?pool t (fun id -> certify t ~output:(`Id id) ~threshold ~deadline)
-
-let times_of_nodes ?pool t nodes =
-  Obs.Counter.incr m_batches;
-  Obs.Span.with_ ~name:"rctree.analysis_batch" @@ fun () ->
-  Parallel.Pool.map ?pool (fun id -> times t ~output:(`Id id)) nodes
+let times_of_nodes t nodes = batch (fun id -> times t ~output:(`Id id)) nodes

@@ -1,18 +1,16 @@
 (** Build-once / query-many handle over one RC tree.
 
-    The one-shot functions of {!Rctree} re-derive the path-resistance
-    array [R_kk] on every call; a handle computes it (and the output
-    directory) once at {!make} and then answers any number of
-    {!times} / {!delay_bounds} / {!voltage_bounds} / {!certify} /
-    {!elmore} queries without re-traversing the tree structure.  Every
-    query is bit-identical to its legacy one-shot counterpart — the
-    cached arrays hold exactly the values the one-shot path would
-    recompute (property-tested).
+    {!make} runs the one-pass all-node moments recursion
+    ({!Moments.all_sums}) once and keeps [T_P] plus the [T_De] and
+    [T_Re] of every node; every {!times} / {!delay_bounds} /
+    {!voltage_bounds} / {!certify} / {!elmore} query is then an array
+    lookup.  The eq. (7) ordering check of {!Times.make} runs per
+    answer.  Answers agree with the per-output reference
+    {!Moments.times} to 1e-12 relative (property-tested); the two sum
+    in different orders, so they may differ in the last bits.
 
     A handle is immutable after [make], so any number of domains may
-    query it concurrently without locks; the [all_*] batch functions
-    below do exactly that through a {!Parallel.Pool}, with
-    deterministic, serial-identical results.
+    query it concurrently without locks.
 
     Outputs are addressed uniformly: every query takes
     [~output:(`Id node | `Name label)], and every lookup failure
@@ -25,7 +23,7 @@ type output = [ `Id of Tree.node_id | `Name of string ]
 (** [`Id] is any node of the tree; [`Name] is a marked-output label. *)
 
 val make : Tree.t -> t
-(** One O(n) traversal: path resistances to the root plus the output
+(** One O(n) pass: characteristic times of every node plus the output
     directory. *)
 
 val tree : t -> Tree.t
@@ -46,27 +44,20 @@ val elmore : t -> output:output -> float
 
 (** {2 Batch queries}
 
-    Each runs over every marked output through the pool ([pool]
-    defaults to the shared {!Parallel.Pool.get}), in marking order.
-    With [n] outputs the work is [n] independent O(tree) queries —
-    the embarrassingly parallel shape the paper's Section IV sells. *)
+    Each answers every marked output, in marking order, with one
+    lookup per output. *)
 
 val all_times : ?pool:Parallel.Pool.t -> t -> (string * Tree.node_id * Times.t) array
+(** [pool] is accepted and ignored — lookups are cheaper than a
+    fan-out; the parameter stays only so existing callers compile. *)
 
-val all_delay_bounds :
-  ?pool:Parallel.Pool.t -> t -> threshold:float -> (string * Tree.node_id * (float * float)) array
-
-val all_voltage_bounds :
-  ?pool:Parallel.Pool.t -> t -> time:float -> (string * Tree.node_id * (float * float)) array
+val all_delay_bounds : t -> threshold:float -> (string * Tree.node_id * (float * float)) array
+val all_voltage_bounds : t -> time:float -> (string * Tree.node_id * (float * float)) array
 
 val all_certify :
-  ?pool:Parallel.Pool.t ->
-  t ->
-  threshold:float ->
-  deadline:float ->
-  (string * Tree.node_id * Bounds.verdict) array
+  t -> threshold:float -> deadline:float -> (string * Tree.node_id * Bounds.verdict) array
 
-val times_of_nodes : ?pool:Parallel.Pool.t -> t -> Tree.node_id array -> Times.t array
+val times_of_nodes : t -> Tree.node_id array -> Times.t array
 (** Batch {!times} over an arbitrary node set (not just marked
     outputs) — characteristic times of every sink of a large net in
     one call. *)

@@ -42,10 +42,10 @@ let sums_for_output t ~output ~rkk ~rke ~on_path =
   let t_r = if ree = 0. then 0. else !second /. ree in
   Times.make ~t_p:!tp ~t_d:!first ~t_r
 
-let times ?rkk t ~output =
+let times t ~output =
   if output < 0 || output >= Tree.node_count t then invalid_arg "Moments.times: unknown node";
-  let rkk = match rkk with Some r -> r | None -> Path.all_resistances_to_root t in
-  let rke = Path.shared_resistances_to ~rkk t output in
+  let rkk = Path.all_resistances_to_root t in
+  let rke = Path.shared_resistances_to t output in
   let on_path = Path.on_path_to t output in
   sums_for_output t ~output ~rkk ~rke ~on_path
 
@@ -68,9 +68,6 @@ let times_direct t ~output =
   in
   sums_for_output t ~output ~rkk ~rke ~on_path
 
-let all_output_times t =
-  List.map (fun (label, id) -> (label, id, times t ~output:id)) (Tree.outputs t)
-
 let elmore t ~output = (times t ~output).Times.t_d
 
 let quadratic_sum t ~output =
@@ -89,7 +86,7 @@ let quadratic_sum t ~output =
    where a = R_ee is the path resistance of the parent and C_line the
    crossed edge's own distributed capacitance (counted in S2(e)/T_D(e)
    at shared resistance a). *)
-let all_times t =
+let all_sums t =
   let n = Tree.node_count t in
   let rkk = Path.all_resistances_to_root t in
   (* subtree capacitance, including each subtree's own edge line caps *)
@@ -129,6 +126,12 @@ let all_times t =
           +. line_s2_new -. (a *. a *. c_line)
     | _, _ -> ()
   done;
-  Array.init n (fun id ->
-      let t_r = if rkk.(id) = 0. then 0. else s2.(id) /. rkk.(id) in
-      Times.make ~t_p:tp ~t_d:td.(id) ~t_r)
+  (* T_Re = S2 / R_ee, in place *)
+  for id = 0 to n - 1 do
+    s2.(id) <- (if rkk.(id) = 0. then 0. else s2.(id) /. rkk.(id))
+  done;
+  (tp, td, s2)
+
+let all_times t =
+  let t_p, td, tr = all_sums t in
+  Array.init (Array.length td) (fun id -> Times.make ~t_p ~t_d:td.(id) ~t_r:tr.(id))

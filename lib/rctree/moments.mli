@@ -1,13 +1,14 @@
 (** Characteristic times of tree outputs (eqs. 1, 5, 6).
 
-    Two implementations are provided on purpose:
+    {!all_sums} is the production pass: every node's times in one O(n)
+    walk, run once per tree by {!Analysis.make}.  The per-output
+    engines are references for the tests and [lib/check]:
 
-    - {!times} — the fast method: one O(n) pass per output using the
-      precomputed path arrays of {!Path};
+    - {!times} — one O(n) pass per output using the path arrays of
+      {!Path};
     - {!times_direct} — the textbook method that evaluates [R_ke] for
       every capacitor with an explicit lowest-common-ancestor query,
-      O(n·depth).  It exists as an independent oracle for tests and as
-      the baseline of the E8 ablation benchmark.
+      O(n·depth).
 
     Distributed lines are integrated in closed form: a line of total
     resistance [R] and capacitance [C] entered at path resistance [a]
@@ -19,20 +20,13 @@
 val t_p : Tree.t -> float
 (** [T_P = Σ R_kk C_k] — output-independent (eq. 5). *)
 
-val times : ?rkk:float array -> Tree.t -> output:Tree.node_id -> Times.t
-(** All three characteristic times for one output, O(n).  [rkk], when
-    given, must be {!Path.all_resistances_to_root} of the same tree;
-    passing it skips the two [R_kk] rebuilds a bare call performs, and
-    because the cached array holds exactly the values the bare call
-    would recompute, the result is bit-identical either way. *)
+val times : Tree.t -> output:Tree.node_id -> Times.t
+(** All three characteristic times for one output, O(n). *)
 
 val times_direct : Tree.t -> output:Tree.node_id -> Times.t
 (** Same result by pairwise shared-resistance queries (the "compute
     [R_ke] for each capacitor" algorithm of Section IV's first
     paragraph). *)
-
-val all_output_times : Tree.t -> (string * Tree.node_id * Times.t) list
-(** Times for every marked output, in marking order. *)
 
 val elmore : Tree.t -> output:Tree.node_id -> float
 (** The Elmore delay [T_De] alone (eq. 1). *)
@@ -41,12 +35,16 @@ val quadratic_sum : Tree.t -> output:Tree.node_id -> float
 (** [Σ_k R_ke² C_k] — the numerator of [T_Re] before division by
     [R_ee]; exposed for tests. *)
 
+val all_sums : Tree.t -> float * float array * float array
+(** [(T_P, T_De, T_Re)] with every node as the output, the arrays
+    indexed by node, in O(n) total — the "more general set of
+    programs" the paper defers to its journal version.  Works by
+    prefix recursion down the tree: crossing an edge of resistance [R]
+    into a subtree holding capacitance [C_sub] updates the first-moment
+    sum by [R·C_sub] and the quadratic sum by [2R·R_ee·C_sub +
+    R²·C_sub], with closed-form corrections for the crossed edge's own
+    distributed capacitance.  Eq. (7) is not checked here. *)
+
 val all_times : Tree.t -> Times.t array
-(** Characteristic times of {e every} node as the output, in O(n) total
-    — the "more general set of programs" the paper defers to its
-    journal version.  Works by prefix recursion down the tree: crossing
-    an edge of resistance [R] into a subtree holding capacitance [C_sub]
-    updates the first-moment sum by [R·C_sub] and the quadratic sum by
-    [2R·R_ee·C_sub + R²·C_sub], with closed-form corrections for the
-    crossed edge's own distributed capacitance.  Agrees with {!times}
-    on every node (property-tested). *)
+(** {!all_sums} through {!Times.make}, one entry per node.  Agrees
+    with {!times} to rounding (property-tested). *)

@@ -40,9 +40,9 @@ let lowest_common_ancestor t a b =
 
 let shared_resistance t k e = resistance_to_root t (lowest_common_ancestor t k e)
 
-let shared_resistances_to ?rkk t e =
+let shared_resistances_to t e =
   let n = Tree.node_count t in
-  let rkk = match rkk with Some r -> r | None -> all_resistances_to_root t in
+  let rkk = all_resistances_to_root t in
   let on_path = on_path_to t e in
   let rke = Array.make n 0. in
   (* top-down: a node on the path keeps its own R_kk; any other node

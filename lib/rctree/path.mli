@@ -17,13 +17,10 @@ val lowest_common_ancestor : Tree.t -> Tree.node_id -> Tree.node_id -> Tree.node
 val shared_resistance : Tree.t -> Tree.node_id -> Tree.node_id -> float
 (** [shared_resistance t k e] is [R_ke]. *)
 
-val shared_resistances_to : ?rkk:float array -> Tree.t -> Tree.node_id -> float array
+val shared_resistances_to : Tree.t -> Tree.node_id -> float array
 (** [R_ke] for a fixed output [e] and every node [k], in one O(n)
     pass: nodes on the input→e path keep their own [R_kk]; every node
-    hanging off that path inherits the [R_kk] of its branch point.
-    [rkk], when given, must be {!all_resistances_to_root} of the same
-    tree — callers holding it (the {!Rctree.Analysis} handle) skip its
-    recomputation. *)
+    hanging off that path inherits the [R_kk] of its branch point. *)
 
 val on_path_to : Tree.t -> Tree.node_id -> bool array
 (** [on_path_to t e] marks the nodes of the input→e path (inclusive). *)

@@ -36,10 +36,10 @@ module Validate = Validate
 module Units = Units
 
 module Analysis = Analysis
-(** Build-once / query-many handle: {!Analysis.make} precomputes the
-    path-resistance table in one traversal, then answers any number of
-    per-output queries (and pool-parallel [all_*] batches) without
-    re-traversing the tree.  The one-shot functions below are thin
+(** Build-once / query-many handle: {!Analysis.make} computes the
+    characteristic times of every node in one O(n) pass, then answers
+    any number of per-output queries (and the [all_*] batches) by
+    lookup.  The one-shot functions below are thin
     wrappers over a throwaway handle; prefer the handle whenever one
     network takes several questions. *)
 

@@ -71,18 +71,19 @@ let load_capacitance d (net : Design.net) =
 
 type sink_delay = { sink : Design.pin; elmore : float; window : float * float }
 
+(* one all-node pass per net; [tree_of_net] marks one output per load,
+   in load-list order, so the two lists pair up *)
 let sink_delays ?(threshold = 0.5) d (net : Design.net) =
-  let tree = tree_of_net d net in
-  List.map
-    (fun pin ->
-      let output = Rctree.Tree.output_named tree (sink_label pin) in
-      let ts = Rctree.Moments.times tree ~output in
-      {
-        sink = pin;
-        elmore = ts.Rctree.Times.t_d;
-        window = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold);
-      })
-    net.Design.loads
+  match net.Design.loads with
+  | [] -> []
+  | loads ->
+      let h = Rctree.Analysis.make (tree_of_net d net) in
+      List.map2
+        (fun sink (_, id) ->
+          let ts = Rctree.Analysis.times h ~output:(`Id id) in
+          let window = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold) in
+          { sink; elmore = ts.Rctree.Times.t_d; window })
+        loads (Rctree.Analysis.outputs h)
 
 let all_sink_delays ?pool ?threshold d =
   Obs.Span.with_ ~name:"sta.netdelay_batch" @@ fun () ->
@@ -91,15 +92,8 @@ let all_sink_delays ?pool ?threshold d =
     (Design.nets d)
 
 let worst_window ?(threshold = 0.5) d net =
-  let tree = tree_of_net d net in
-  let windows =
-    List.map
-      (fun (_, output) ->
-        let ts = Rctree.Moments.times tree ~output in
-        (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold))
-      (Rctree.Tree.outputs tree)
-  in
-  match windows with
+  let h = Rctree.Analysis.make (tree_of_net d net) in
+  match Array.to_list (Rctree.Analysis.all_delay_bounds h ~threshold) with
   | [] -> (0., 0.)
-  | first :: rest ->
-      List.fold_left (fun (lo, hi) (l, h) -> (Float.min lo l, Float.max hi h)) first rest
+  | (_, _, first) :: rest ->
+      List.fold_left (fun (lo, hi) (_, _, (l, h)) -> (Float.min lo l, Float.max hi h)) first rest

@@ -7,7 +7,8 @@
     Penfield–Rubinstein [(t_min, t_max)] window. *)
 
 val tree_of_net : Design.t -> Design.net -> Rctree.Tree.t
-(** Sink nodes are marked as outputs labelled ["instance/pin"].  When
+(** Sink nodes are marked as outputs labelled ["instance/pin"], in
+    load-list order.  When
     the net has no loads a single output labelled ["<net>.end"] marks
     the far end of the wire (or the driver node for [Direct] wires). *)
 

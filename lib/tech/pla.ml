@@ -66,10 +66,8 @@ let paper_line ~minterms = Rctree.Expr.pla_line minterms
    one cascade node per section: the whole sweep now costs O(max n)
    ops total.  The grafts replay exactly the left-fold of [line_expr],
    so every (n, t_min, t_max) is bit-identical to the from-scratch
-   result (regression-tested).  The [?pool] parameter is kept for
-   compatibility but no longer used: the serial incremental chain does
-   strictly less work than the old per-count fan-out. *)
-let sweep ?(threshold = 0.7) ?(driver = Mosfet.paper_superbuffer) ?pool:_ p params ~minterms =
+   result (regression-tested). *)
+let sweep ?(threshold = 0.7) ?(driver = Mosfet.paper_superbuffer) p params ~minterms =
   Obs.Span.with_ ~name:"tech.pla_sweep" @@ fun () ->
   if List.exists (fun n -> n < 0) minterms then
     invalid_arg "Pla.sweep: negative minterm count";

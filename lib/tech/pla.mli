@@ -51,7 +51,6 @@ val paper_line : minterms:int -> Rctree.Expr.t
 val sweep :
   ?threshold:float ->
   ?driver:Mosfet.driver ->
-  ?pool:Parallel.Pool.t ->
   Process.t ->
   params ->
   minterms:int list ->
@@ -61,7 +60,5 @@ val sweep :
     section by section (each count is the previous count plus a
     [Graft] at the root), so the whole sweep costs O(max n) algebra
     ops instead of O(Σ nᵢ).  Values are bit-identical to evaluating
-    {!delay_bounds} per count.  [pool] is accepted for compatibility
-    but unused — the incremental chain does strictly less work than
-    the old per-count fan-out.  Raises [Invalid_argument] on a
+    {!delay_bounds} per count.  Raises [Invalid_argument] on a
     negative count or non-positive [minterms_per_section]. *)

@@ -239,6 +239,20 @@ let tests =
             [ "--inject"; "bogus" ];
             [ "--props"; "envelope,bogus" ];
           ]);
+    Alcotest.test_case "stats self-test exits 0" `Quick (fun () ->
+        (* stats switches the process-global registry on; leave it as
+           the other tests expect *)
+        let code, out =
+          Fun.protect
+            ~finally:(fun () ->
+              Obs.set_enabled false;
+              Obs.reset ())
+            (fun () -> run [ "stats" ])
+        in
+        check_int "exit" 0 code;
+        check_bool "layers" true (contains out "self-test: all instrumented layers reported");
+        check_bool "handle" true
+          (contains out "self-test: handle agrees with per-output Moments.times to 1e-12"));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

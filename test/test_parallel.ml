@@ -1,7 +1,8 @@
 (* The parallel engine: Pool combinator semantics (determinism, work
-   chunking, exception capture, re-entrancy) and the equivalence of
-   the Rctree.Analysis handle — serial or pooled — with the legacy
-   one-shot API, bit for bit. *)
+   chunking, exception capture, re-entrancy); the Rctree.Analysis
+   handle against the per-output reference Moments.times (1e-12
+   relative) and against the one-shot wrappers (bit for bit); pooled
+   vs serial clients. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -20,6 +21,17 @@ let check_times_exact msg (a : Rctree.Times.t) (b : Rctree.Times.t) =
   check_exact (msg ^ ".t_p") a.Rctree.Times.t_p b.Rctree.Times.t_p;
   check_exact (msg ^ ".t_d") a.Rctree.Times.t_d b.Rctree.Times.t_d;
   check_exact (msg ^ ".t_r") a.Rctree.Times.t_r b.Rctree.Times.t_r
+
+(* the handle's one all-node pass and the per-output reference sum in
+   different orders: equal to 1e-12 relative, not bit for bit *)
+let times_close (a : Rctree.Times.t) (b : Rctree.Times.t) =
+  let close x y = Numeric.Float_cmp.approx_eq ~rtol:1e-12 ~atol:0. x y in
+  close a.t_p b.t_p && close a.t_d b.t_d && close a.t_r b.t_r
+
+let check_times_close msg (a : Rctree.Times.t) (b : Rctree.Times.t) =
+  if not (times_close a b) then
+    Alcotest.failf "%s: (%.17g, %.17g, %.17g) <> (%.17g, %.17g, %.17g)" msg a.t_p a.t_d a.t_r
+      b.t_p b.t_d b.t_r
 
 (* --- Pool combinators ------------------------------------------------ *)
 
@@ -123,7 +135,7 @@ let pool_tests =
             check_int "pool.tasks" 127 (counter "pool.tasks")));
   ]
 
-(* --- Analysis handle vs legacy one-shots ----------------------------- *)
+(* --- Analysis handle vs reference and one-shots ---------------------- *)
 
 let fig7_tree = Rctree.Convert.tree_of_expr ~name:"fig7" Rctree.Expr.fig7
 
@@ -131,15 +143,15 @@ let pla_tree n =
   let p = Tech.Process.default_4um in
   Tech.Pla.line_tree p (Tech.Pla.default_params p) ~minterms:n
 
-(* the legacy compute path, bypassing the handle wrappers entirely *)
-let legacy_times tree id = Rctree.Moments.times tree ~output:id
+(* the per-output reference, bypassing the handle entirely *)
+let reference_times tree id = Rctree.Moments.times tree ~output:id
 
 let check_handle_matches_legacy msg tree =
   let h = Rctree.Analysis.make tree in
   let n = Rctree.Tree.node_count tree in
   for id = 0 to n - 1 do
     let tag = Printf.sprintf "%s node %d" msg id in
-    check_times_exact tag (legacy_times tree id) (Rctree.Analysis.times h ~output:(`Id id));
+    check_times_close tag (reference_times tree id) (Rctree.Analysis.times h ~output:(`Id id));
     let lo, hi = Rctree.delay_bounds tree ~output:id ~threshold:0.5 in
     let lo', hi' = Rctree.Analysis.delay_bounds h ~output:(`Id id) ~threshold:0.5 in
     check_exact (tag ^ " t_min") lo lo';
@@ -183,33 +195,26 @@ let handle_tests =
             Rctree.Analysis.times h ~output:(`Name "no-such-output"));
         check_invalid "legacy named" (fun () ->
             Rctree.analyze_named fig7_tree ~output:"no-such-output"));
-    Alcotest.test_case "all_times matches all_output_times, pooled" `Quick (fun () ->
+    Alcotest.test_case "all_times matches per-output Moments.times" `Quick (fun () ->
         let tree = pla_tree 20 in
-        let h = Rctree.Analysis.make tree in
-        let legacy = Rctree.Moments.all_output_times tree in
-        List.iter
-          (fun domains ->
-            Parallel.Pool.with_pool ~domains (fun pool ->
-                let batch = Rctree.Analysis.all_times ~pool h in
-                check_int "count" (List.length legacy) (Array.length batch);
-                List.iteri
-                  (fun i (label, id, ts) ->
-                    let label', id', ts' = batch.(i) in
-                    Alcotest.(check string) "label" label label';
-                    check_int "id" id id';
-                    check_times_exact (Printf.sprintf "d=%d %s" domains label) ts ts')
-                  legacy))
-          [ 1; 2; 4 ]);
+        let outputs = Rctree.Tree.outputs tree in
+        let batch = Rctree.Analysis.all_times (Rctree.Analysis.make tree) in
+        check_int "count" (List.length outputs) (Array.length batch);
+        List.iteri
+          (fun i (label, id) ->
+            let label', id', ts = batch.(i) in
+            Alcotest.(check string) "label" label label';
+            check_int "id" id id';
+            check_times_close label (reference_times tree id) ts)
+          outputs);
     Alcotest.test_case "times_of_nodes covers arbitrary nodes" `Quick (fun () ->
         let tree = pla_tree 10 in
         let h = Rctree.Analysis.make tree in
         let nodes = Array.init (Rctree.Tree.node_count tree) Fun.id in
-        Parallel.Pool.with_pool ~domains:2 (fun pool ->
-            let batch = Rctree.Analysis.times_of_nodes ~pool h nodes in
-            Array.iteri
-              (fun i ts ->
-                check_times_exact (Printf.sprintf "node %d" nodes.(i)) (legacy_times tree nodes.(i)) ts)
-              batch));
+        Array.iteri
+          (fun i ts ->
+            check_times_close (Printf.sprintf "node %d" nodes.(i)) (reference_times tree nodes.(i)) ts)
+          (Rctree.Analysis.times_of_nodes h nodes));
   ]
 
 (* --- random trees (qcheck, shared generators from Check.Gen) --------- *)
@@ -222,22 +227,13 @@ let random_tree_props =
         let h = Rctree.Analysis.make tree in
         let ok = ref true in
         for id = 0 to Rctree.Tree.node_count tree - 1 do
-          if legacy_times tree id <> Rctree.Analysis.times h ~output:(`Id id) then ok := false
+          if not (times_close (reference_times tree id) (Rctree.Analysis.times h ~output:(`Id id)))
+          then ok := false
         done;
         !ok);
-    QCheck.Test.make ~count:50 ~name:"pooled batches = serial batches on random trees" arb_tree
-      (fun tree ->
-        let h = Rctree.Analysis.make tree in
-        Parallel.Pool.with_pool ~domains:1 (fun serial ->
-            Parallel.Pool.with_pool ~domains:3 (fun pool ->
-                Rctree.Analysis.all_times ~pool h = Rctree.Analysis.all_times ~pool:serial h
-                && Rctree.Analysis.all_delay_bounds ~pool h ~threshold:0.5
-                   = Rctree.Analysis.all_delay_bounds ~pool:serial h ~threshold:0.5
-                && Rctree.Analysis.all_voltage_bounds ~pool h ~time:10.
-                   = Rctree.Analysis.all_voltage_bounds ~pool:serial h ~time:10.)));
   ]
 
-(* --- parallel clients: STA, Monte-Carlo, PLA sweep ------------------- *)
+(* --- parallel clients: STA, Monte-Carlo ------------------------------ *)
 
 let client_tests =
   [
@@ -272,15 +268,6 @@ let client_tests =
                   Tech.Variation.monte_carlo ~samples:60 ~seed:7 ~pool p ~build ~threshold:0.7
                 in
                 check_bool "spreads" true (s1 = s2))));
-    Alcotest.test_case "PLA sweep: pooled = serial" `Quick (fun () ->
-        let p = Tech.Process.default_4um in
-        let params = Tech.Pla.default_params p in
-        Parallel.Pool.with_pool ~domains:1 (fun serial ->
-            Parallel.Pool.with_pool ~domains:3 (fun pool ->
-                check_bool "rows" true
-                  (Tech.Pla.sweep ~threshold:0.7 ~pool p params ~minterms:[ 2; 4; 10; 20; 40 ]
-                  = Tech.Pla.sweep ~threshold:0.7 ~pool:serial p params
-                      ~minterms:[ 2; 4; 10; 20; 40 ]))));
     Alcotest.test_case "Netdelay.all_sink_delays: pooled = serial" `Quick (fun () ->
         let d = Sta.Generate.ripple_carry_adder ~bits:4 () in
         Parallel.Pool.with_pool ~domains:1 (fun serial ->

@@ -453,13 +453,13 @@ let moments_tests =
     Alcotest.test_case "quadratic_sum" `Quick (fun () ->
         let t, _, _, e = build_fig7 () in
         check_close "sum" 6033. (Rctree.Moments.quadratic_sum t ~output:e));
-    Alcotest.test_case "all_output_times covers marked outputs" `Quick (fun () ->
+    Alcotest.test_case "Analysis.all_times covers marked outputs" `Quick (fun () ->
         let t, _, _, _ = build_fig7 () in
-        match Rctree.Moments.all_output_times t with
-        | [ (label, _, ts) ] ->
+        match Rctree.Analysis.all_times (Rctree.Analysis.make t) with
+        | [| (label, _, ts) |] ->
             check_string "label" "e" label;
             check_float "td" 363. ts.Rctree.Times.t_d
-        | other -> Alcotest.failf "expected 1 output, got %d" (List.length other));
+        | other -> Alcotest.failf "expected 1 output, got %d" (Array.length other));
     Alcotest.test_case "unknown output raises" `Quick (fun () ->
         let t, _, _, _ = build_fig7 () in
         check_invalid "bad node" (fun () -> Rctree.Moments.times t ~output:99));
