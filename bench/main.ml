@@ -630,12 +630,13 @@ let treesolve_rows () =
   Obs.set_enabled false;
   Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
   (* dt giving C/dt about 100x below the edge conductance: stiff enough
-     that CG must iterate, mild enough that it converges at tol 1e-10 *)
+     that CG must iterate, mild enough that it converges at its default
+     relative residual of 1e-12 *)
   let dt = 1e-10 in
   let measure solver tree outs ~steps =
     let t0 = Unix.gettimeofday () in
     let w =
-      Circuit.Large.step_response ~solver ~tol:1e-10 tree ~dt
+      Circuit.Large.step_response ~solver tree ~dt
         ~t_end:(float_of_int steps *. dt) ~outputs:outs
     in
     ((Unix.gettimeofday () -. t0) /. float_of_int steps *. 1e3, List.map snd w)

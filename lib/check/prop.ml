@@ -167,7 +167,7 @@ let run_direct_solver o =
     let dt = tau /. 100. and t_end = tau in
     let be solver =
       List.assoc node
-        (Circuit.Large.step_response ~solver ~tol:1e-12 tree ~dt ~t_end ~outputs:[ node ])
+        (Circuit.Large.step_response ~solver tree ~dt ~t_end ~outputs:[ node ])
     in
     let trap solver =
       let r =

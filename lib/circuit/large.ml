@@ -1,16 +1,13 @@
 let m_solves = Obs.Counter.make "large.step_responses"
 let m_timesteps = Obs.Counter.make "large.timesteps"
-let m_cg_iterations = Obs.Counter.make "large.cg_iterations"
-let m_iters_per_step = Obs.Histogram.make "large.cg_iterations_per_step"
 
 type solver = [ `Direct | `Cg | `Dense ]
+type integration = Backward_euler | Trapezoidal
 
 type operator = {
-  conductance : float array; (* per node: 1/R of the edge above it; 0 for the input *)
+  conductance : float array; (* per row: 1/R of the edge above it *)
   parent_row : int array; (* row of the parent; -1 when the parent is the driven input *)
-  children_rows : int list array; (* rows of the children *)
   c_over_dt : float array;
-  source_rows : int list; (* rows whose parent is the driven input *)
   row_of_node : int array;
 }
 
@@ -40,9 +37,7 @@ let operator ?cap_floor tree ~dt =
   in
   let conductance = Array.make rows 0. in
   let parent_row = Array.make rows (-1) in
-  let children_rows = Array.make rows [] in
   let c_over_dt = Array.make rows 0. in
-  let source_rows = ref [] in
   for id = 0 to n - 1 do
     if id <> input then begin
       let row = row_of_node.(id) in
@@ -55,17 +50,11 @@ let operator ?cap_floor tree ~dt =
                (Rctree.Tree.node_name tree id))
       | Some (Rctree.Element.Line _) | Some (Rctree.Element.Capacitor _) | None -> assert false);
       match Rctree.Tree.parent tree id with
-      | Some p when p = input ->
-          parent_row.(row) <- -1;
-          source_rows := row :: !source_rows
-      | Some p ->
-          let prow = row_of_node.(p) in
-          parent_row.(row) <- prow;
-          children_rows.(prow) <- row :: children_rows.(prow)
+      | Some p -> parent_row.(row) <- row_of_node.(p)
       | None -> assert false
     end
   done;
-  { conductance; parent_row; children_rows; c_over_dt; source_rows = !source_rows; row_of_node }
+  { conductance; parent_row; c_over_dt; row_of_node }
 
 let node_count op = Array.length op.conductance
 
@@ -75,12 +64,28 @@ let row op node =
   op.row_of_node.(node)
 
 let c_over_dt op = op.c_over_dt
-let source_rows op = List.map (fun r -> (r, op.conductance.(r))) op.source_rows
+
+let source_rows op =
+  List.filter_map
+    (fun r -> if op.parent_row.(r) = -1 then Some (r, op.conductance.(r)) else None)
+    (List.init (node_count op) Fun.id)
+
+(* Edges scatter into their parent in descending row order, after
+   every row's own terms, so each row adds its children's terms from
+   the highest row down.  That order is part of the answer: changing it
+   moves waveforms by an ulp. *)
 
 let diagonal op =
-  Array.init (node_count op) (fun r ->
-      op.c_over_dt.(r) +. op.conductance.(r)
-      +. List.fold_left (fun acc child -> acc +. op.conductance.(child)) 0. op.children_rows.(r))
+  let rows = node_count op in
+  let below = Array.make rows 0. in
+  for r = rows - 1 downto 0 do
+    let p = op.parent_row.(r) in
+    if p <> -1 then below.(p) <- below.(p) +. op.conductance.(r)
+  done;
+  for r = 0 to rows - 1 do
+    below.(r) <- op.c_over_dt.(r) +. op.conductance.(r) +. below.(r)
+  done;
+  below
 
 (* y = (C/dt + G) x into a caller buffer, walking edges instead of a matrix *)
 let apply_into op x ~into:y =
@@ -88,14 +93,15 @@ let apply_into op x ~into:y =
   if Array.length x <> rows || Array.length y <> rows then
     invalid_arg "Large.apply: dimension mismatch";
   for r = 0 to rows - 1 do
-    y.(r) <- op.c_over_dt.(r) *. x.(r);
     (* the edge above [r]: current g*(x_r - x_parent) *)
-    let xp = if op.parent_row.(r) = -1 then 0. else x.(op.parent_row.(r)) in
-    y.(r) <- y.(r) +. (op.conductance.(r) *. (x.(r) -. xp));
-    (* edges below [r] *)
-    List.iter
-      (fun child -> y.(r) <- y.(r) +. (op.conductance.(child) *. (x.(r) -. x.(child))))
-      op.children_rows.(r)
+    let p = op.parent_row.(r) in
+    let xp = if p = -1 then 0. else x.(p) in
+    y.(r) <- (op.c_over_dt.(r) *. x.(r)) +. (op.conductance.(r) *. (x.(r) -. xp))
+  done;
+  (* the same edges seen from the parent *)
+  for r = rows - 1 downto 0 do
+    let p = op.parent_row.(r) in
+    if p <> -1 then y.(p) <- y.(p) +. (op.conductance.(r) *. (x.(p) -. x.(r)))
   done
 
 let apply op x =
@@ -113,86 +119,119 @@ let factor op =
   in
   Numeric.Tree_ldl.factor ~parent:op.parent_row ~diag:(diagonal op) ~offdiag
 
-let step_response ?cap_floor ?(tol = 1e-10) ?(solver = `Direct) tree ~dt ~t_end ~outputs =
-  if t_end < 0. then invalid_arg "Large.step_response: negative t_end";
-  Obs.Span.with_ ~name:"circuit.large" @@ fun () ->
-  Obs.Counter.incr m_solves;
-  let op = operator ?cap_floor tree ~dt in
-  List.iter
-    (fun node ->
+let max_grid_values = 1 lsl 26
+
+let check_grid ~who ~dt ~t_end ~traces =
+  if not (dt > 0.) then invalid_arg (who ^ ": dt must be positive");
+  if not (t_end >= 0.) then invalid_arg (who ^ ": t_end must be non-negative");
+  (* in floats, so a huge or NaN step count cannot overflow an int *)
+  let steps = t_end /. dt in
+  if not ((Float.ceil steps +. 1.) *. float_of_int (traces + 1) <= float_of_int max_grid_values)
+  then
+    invalid_arg
+      (Printf.sprintf
+         "%s: t_end/dt = %g steps with %d recorded traces exceeds the limit of %d recorded \
+          values (Large.max_grid_values)"
+         who steps traces max_grid_values)
+
+let run ?cap_floor ~integration ~solver tree ~dt ~u ~record =
+  let samples = Array.length u in
+  if samples = 0 then invalid_arg "Large.run: empty input";
+  let op =
+    operator ?cap_floor tree
+      ~dt:(match integration with Backward_euler -> dt | Trapezoidal -> dt /. 2.)
+  in
+  Array.iter
+    (fun (node, trace) ->
       if node < 0 || node >= Array.length op.row_of_node then
-        invalid_arg "Large.step_response: unknown output node")
-    outputs;
+        invalid_arg "Large.run: unknown record node";
+      if Array.length trace < samples then invalid_arg "Large.run: trace shorter than u")
+    record;
   let rows = node_count op in
-  let steps = int_of_float (Float.ceil (t_end /. dt)) in
-  (* not Array.init: its closure would box one float per step *)
-  let times = Array.make (steps + 1) 0. in
-  for k = 1 to steps do
-    times.(k) <- float_of_int k *. dt
-  done;
-  let traces = List.map (fun node -> (node, Array.make (steps + 1) 0.)) outputs in
-  let trace_arr = Array.of_list traces in
-  (* plain loops, not List.iter closures: the direct path must not
-     allocate per step *)
-  let record k x =
-    for j = 0 to Array.length trace_arr - 1 do
-      let node, arr = trace_arr.(j) in
+  let x = ref (Array.make rows 0.) in
+  (* plain loops over arrays, not List.iter closures: no per-step
+     allocation *)
+  let record k =
+    let x = !x in
+    for j = 0 to Array.length record - 1 do
+      let node, trace = record.(j) in
       let r = op.row_of_node.(node) in
-      arr.(k) <- (if r = -1 then 1. else x.(r))
+      trace.(k) <- (if r = -1 then u.(k) else x.(r))
     done
   in
-  (* at t = 0 everything is discharged except the (ideal) input *)
-  List.iter (fun (node, arr) -> if op.row_of_node.(node) = -1 then arr.(0) <- 1.) traces;
-  (match solver with
-  | `Direct ->
-      (* factor (C/dt + G) once; each step is two O(n) sweeps in the
-         preallocated buffers — nothing is allocated per step *)
-      let f = factor op in
-      let sources = Array.of_list op.source_rows in
-      let x = ref (Array.make rows 0.) in
-      let rhs = ref (Array.make rows 0.) in
-      for k = 1 to steps do
-        let x_now = !x and b = !rhs in
-        for r = 0 to rows - 1 do
-          b.(r) <- op.c_over_dt.(r) *. x_now.(r)
-        done;
-        for j = 0 to Array.length sources - 1 do
-          let r = sources.(j) in
-          b.(r) <- b.(r) +. op.conductance.(r)
-        done;
-        Numeric.Tree_ldl.solve_in_place f b;
-        x := b;
-        rhs := x_now;
-        Obs.Counter.incr m_timesteps;
-        record k b
-      done
-  | `Cg ->
-      let diag = diagonal op in
-      let x = ref (Array.make rows 0.) in
-      for k = 1 to steps do
-        (* rhs = C/dt x_prev + b, with b the source injection (u = 1) *)
-        let rhs = Array.mapi (fun r xi -> op.c_over_dt.(r) *. xi) !x in
-        List.iter (fun r -> rhs.(r) <- rhs.(r) +. op.conductance.(r)) op.source_rows;
-        let solution, (stats : Numeric.Cg.stats) =
-          Numeric.Cg.solve ~tol ~diag_precondition:diag ~mul:(apply op) rhs
+  (* [advance k] moves the state from sample [k - 1] to sample [k] *)
+  let advance =
+    match solver with
+    | `Dense ->
+        (* the oracle: dense MNA stamping + LU, same row numbering *)
+        let sys = Mna.of_tree ?cap_floor tree in
+        let c = Mna.c_matrix sys and g = sys.Mna.g and b = sys.Mna.b in
+        let stepper =
+          match integration with
+          | Backward_euler -> Numeric.Ode.backward_euler ~c ~g ~b ~dt
+          | Trapezoidal -> Numeric.Ode.trapezoidal ~c ~g ~b ~dt
         in
-        Obs.Counter.incr m_timesteps;
-        Obs.Counter.add m_cg_iterations stats.Numeric.Cg.iterations;
-        Obs.Histogram.observe m_iters_per_step (float_of_int stats.Numeric.Cg.iterations);
-        x := solution;
-        record k !x
-      done
-  | `Dense ->
-      (* the oracle path: dense MNA stamping + LU, same row numbering *)
-      let sys = Mna.of_tree ?cap_floor tree in
-      let stepper = Numeric.Ode.backward_euler ~c:(Mna.c_matrix sys) ~g:sys.g ~b:sys.b ~dt in
-      let x = ref (Array.make rows 0.) in
-      for k = 1 to steps do
-        x := Numeric.Ode.step stepper ~x:!x ~u_now:1. ~u_next:1.;
-        Obs.Counter.incr m_timesteps;
-        record k !x
-      done);
-  List.map (fun (node, arr) -> (node, Waveform.create ~times ~values:arr)) traces
+        fun k -> x := Numeric.Ode.step stepper ~x:!x ~u_now:u.(k - 1) ~u_next:u.(k)
+    | (`Direct | `Cg) as solver ->
+        (* the operator is (C/dt' + G) with dt' = dt (backward Euler)
+           or dt/2 (trapezoidal), so [c_over_dt] is C/dt or 2C/dt *)
+        let solve =
+          match solver with
+          | `Direct ->
+              let f = factor op in
+              fun b ->
+                Numeric.Tree_ldl.solve_in_place f b;
+                b
+          | `Cg ->
+              let diag = diagonal op in
+              fun b -> fst (Numeric.Cg.solve ~diag_precondition:diag ~mul:(apply op) b)
+        in
+        let spare = ref (Array.make rows 0.) in
+        fun k ->
+          let x_now = !x and b = !spare in
+          (match integration with
+          | Backward_euler ->
+              (* b = C/dt x_n + g u_{n+1} on the source rows *)
+              let u_next = u.(k) in
+              for r = 0 to rows - 1 do
+                b.(r) <- op.c_over_dt.(r) *. x_now.(r);
+                if op.parent_row.(r) = -1 then
+                  b.(r) <- b.(r) +. (op.conductance.(r) *. u_next)
+              done
+          | Trapezoidal ->
+              (* b = (2C/dt - G) x_n + g (u_n + u_{n+1})
+                   = 2 (2C/dt) x_n - (2C/dt + G) x_n + g (u_n + u_{n+1}) *)
+              let u_sum = u.(k - 1) +. u.(k) in
+              apply_into op x_now ~into:b;
+              for r = 0 to rows - 1 do
+                b.(r) <- (2. *. op.c_over_dt.(r) *. x_now.(r)) -. b.(r);
+                if op.parent_row.(r) = -1 then
+                  b.(r) <- b.(r) +. (op.conductance.(r) *. u_sum)
+              done);
+          spare := x_now;
+          x := solve b
+  in
+  record 0;
+  for k = 1 to samples - 1 do
+    advance k;
+    Obs.Counter.incr m_timesteps;
+    record k
+  done
+
+let step_response ?cap_floor ?(solver = `Direct) tree ~dt ~t_end ~outputs =
+  check_grid ~who:"Large.step_response" ~dt ~t_end ~traces:(List.length outputs);
+  Obs.Span.with_ ~name:"circuit.large" @@ fun () ->
+  Obs.Counter.incr m_solves;
+  let samples = int_of_float (Float.ceil (t_end /. dt)) + 1 in
+  (* not Array.init: its closure would box one float per sample *)
+  let times = Array.make samples 0. in
+  for k = 1 to samples - 1 do
+    times.(k) <- float_of_int k *. dt
+  done;
+  let traces = List.map (fun node -> (node, Array.make samples 0.)) outputs in
+  run ?cap_floor ~integration:Backward_euler ~solver tree ~dt ~u:(Array.make samples 1.)
+    ~record:(Array.of_list traces);
+  List.map (fun (node, values) -> (node, Waveform.create ~times ~values)) traces
 
 let rc_chain ~sections ~r ~c =
   if sections < 1 then invalid_arg "Large.rc_chain: need at least one section";

@@ -1,7 +1,9 @@
-(** Transient simulation for large RC trees, without dense matrices.
+(** Transient simulation for large RC trees, without dense matrices —
+    the one time-stepping loop of the library.
 
-    The backward-Euler iteration matrix [(C/dt + G)] of an RC tree is
-    SPD and tree-structured, so it admits a perfect elimination order:
+    The implicit iteration matrix [(C/dt' + G)] of an RC tree (with
+    [dt' = dt] for backward Euler, [dt/2] for trapezoidal) is SPD and
+    tree-structured, so it admits a perfect elimination order:
     leaf-to-root LDLᵀ factorization has {e zero} fill-in
     ({!Numeric.Tree_ldl}).  The default [`Direct] solver factors once
     per [(tree, dt)] in O(n) and then advances each time step with two
@@ -10,12 +12,17 @@
     O(n), so million-node nets complete a full step response without a
     dense matrix ever being formed.
 
-    Two slower paths survive as oracles behind the [solver] selector:
-    [`Cg], the matrix-free Jacobi-preconditioned conjugate-gradient
-    iteration (whose per-step iteration count grows with chain depth
-    on stiff nets — the reason a 100 000-node deep chain was {e not} a
-    non-event before the direct solver), and [`Dense], the MNA + LU
-    stamping of {!Transient} restricted to the requested outputs.
+    Every transient answer goes through {!run}: {!step_response} and
+    {!Transient.simulate} only choose the time grid, the input samples
+    and the nodes to record.  Two slower solvers survive as oracles
+    behind the [solver] selector: [`Cg], the matrix-free
+    Jacobi-preconditioned conjugate-gradient iteration at
+    {!Numeric.Cg.solve}'s default relative residual of 1e-12 (its
+    per-step iteration count grows with chain depth on stiff nets), and
+    [`Dense], dense MNA stamping ({!Mna}) stepped by
+    {!Numeric.Ode.step}.  [`Direct] and [`Cg] share one right-hand-side
+    formation and differ only in the solve, so all three integrate the
+    same discrete system and agree to solver roundoff.
 
     Accepts the same trees as {!Mna.of_tree} (lumped, positive edge
     resistances). *)
@@ -26,10 +33,17 @@ type solver = [ `Direct | `Cg | `Dense ]
     step; [`Dense] — dense MNA stamping and LU, O(n²) memory, the
     cross-check oracle for small nets. *)
 
+type integration = Backward_euler | Trapezoidal
+(** Backward Euler is first-order and L-stable; trapezoidal (the
+    SPICE default) is second-order and A-stable. *)
+
 type operator
 (** The matrix-free [(C/dt + G)] of one tree at one step size. *)
 
 val operator : ?cap_floor:float -> Rctree.Tree.t -> dt:float -> operator
+(** Every node carries at least [cap_floor] capacitance (default as in
+    {!Mna.of_tree}).  Raises [Invalid_argument] on a non-positive [dt],
+    distributed lines or a zero-resistance edge. *)
 
 val apply : operator -> Numeric.Vector.t -> Numeric.Vector.t
 (** One operator application — exposed for testing against the dense
@@ -61,21 +75,51 @@ val factor : operator -> Numeric.Tree_ldl.t
 (** Leaf-first zero-fill-in LDLᵀ of [(C/dt + G)].  O(n); reusable
     across every step taken at this [(tree, dt)]. *)
 
+val max_grid_values : int
+(** The cap on a time grid: [2{^26}] (about 67 million) recorded
+    values, 512 MiB of samples.  A grid's sample count
+    [⌈t_end/dt⌉ + 1] times (recorded traces + 1, for the time axis)
+    may not exceed it. *)
+
+val check_grid : who:string -> dt:float -> t_end:float -> traces:int -> unit
+(** [check_grid ~who ~dt ~t_end ~traces] validates a grid of about
+    [t_end /. dt] steps recording [traces] waveforms before any of it
+    is counted or allocated.  Raises [Invalid_argument], prefixed by
+    [who], when [dt] is not positive, [t_end] is negative or NaN, or
+    the grid exceeds {!max_grid_values}. *)
+
+val run :
+  ?cap_floor:float ->
+  integration:integration ->
+  solver:solver ->
+  Rctree.Tree.t ->
+  dt:float ->
+  u:float array ->
+  record:(Rctree.Tree.node_id * float array) array ->
+  unit
+(** The stepper.  [u.(k)] is the input at sample [k] of a grid of
+    [Array.length u] samples spaced [dt] apart; every node starts
+    discharged at sample 0, and [Array.length u - 1] steps follow.  For
+    each [(node, trace)] of [record], [trace.(k)] receives the node's
+    voltage at sample [k] ([u.(k)] for the driven input).  Apart from
+    setup, the [`Direct] path allocates nothing per step.  Raises
+    [Invalid_argument] on an empty [u], an unknown node or a trace
+    shorter than [u]; the grid itself is the caller's to cap with
+    {!check_grid}. *)
+
 val step_response :
   ?cap_floor:float ->
-  ?tol:float ->
   ?solver:solver ->
   Rctree.Tree.t ->
   dt:float ->
   t_end:float ->
   outputs:Rctree.Tree.node_id list ->
   (Rctree.Tree.node_id * Waveform.t) list
-(** Backward-Euler unit-step response, recording only the requested
-    nodes.  [solver] selects the per-step linear solver (default
-    [`Direct]); all three produce the same discrete trajectory up to
-    solver roundoff ([`Cg] to its [tol], the CG relative-residual
-    target, default 1e-10 and ignored by the other solvers).  Raises
-    [Invalid_argument] on bad [dt]/[t_end] or unknown nodes. *)
+(** Backward-Euler unit-step response on the grid [k·dt],
+    [k = 0 … ⌈t_end/dt⌉], recording only the requested nodes.
+    [solver] selects the per-step linear solver (default [`Direct]).
+    Raises [Invalid_argument] on bad [dt]/[t_end], a grid above
+    {!max_grid_values} or unknown nodes. *)
 
 val rc_chain : sections:int -> r:float -> c:float -> Rctree.Tree.t
 (** A test/bench workload: a uniform chain of [sections] RC sections

@@ -1,8 +1,7 @@
-type integration = Backward_euler | Trapezoidal
-type solver = [ `Direct | `Cg | `Dense ]
+type integration = Large.integration = Backward_euler | Trapezoidal
+type solver = Large.solver
 
 let m_simulations = Obs.Counter.make "transient.simulations"
-let m_steps = Obs.Counter.make "transient.steps"
 let m_nodes = Obs.Histogram.make "transient.nodes_per_sim"
 
 type result = {
@@ -16,121 +15,24 @@ let ramp_input ~rise_time t =
   if rise_time <= 0. then invalid_arg "Transient.ramp_input: rise_time must be positive";
   if t <= 0. then 0. else if t >= rise_time then 1. else t /. rise_time
 
-(* sample count of Numeric.Ode.simulate, with the same float
-   accumulation, so every solver produces identical time grids *)
-let sample_count ~dt ~t_end =
-  let rec go t k = if t >= t_end then k else go (t +. dt) (k + 1) in
-  go 0. 1
-
-(* the [`Dense] oracle path: dense MNA stamping + one LU factorization
-   shared by every step (Numeric.Ode) *)
-let simulate_dense ~integration ?cap_floor tree ~dt ~t_end ~input =
-  let sys = Mna.of_tree ?cap_floor tree in
-  let c = Mna.c_matrix sys in
-  let stepper =
-    match integration with
-    | Backward_euler -> Numeric.Ode.backward_euler ~c ~g:sys.g ~b:sys.b ~dt
-    | Trapezoidal -> Numeric.Ode.trapezoidal ~c ~g:sys.g ~b:sys.b ~dt
-  in
-  let rows = Numeric.Vector.dim sys.b in
-  let trajectory =
-    Numeric.Ode.simulate stepper ~x0:(Numeric.Vector.create rows) ~u:input ~t_end
-  in
-  let samples = List.length trajectory in
-  let times = Array.make samples 0. in
-  let n = Array.length sys.Mna.row_of_node in
-  let node_values = Array.init n (fun _ -> Array.make samples 0.) in
-  List.iteri
-    (fun k (t, x) ->
-      times.(k) <- t;
-      for node = 0 to n - 1 do
-        let row = sys.Mna.row_of_node.(node) in
-        node_values.(node).(k) <- (if row = -1 then input t else x.(row))
-      done)
-    trajectory;
-  { times; node_values }
-
-(* the tree-structured paths.  The iteration matrix is (C/dt' + G)
-   with dt' = dt for backward Euler and dt' = dt/2 for trapezoidal
-   (so [Large.operator ~dt:dt'] stamps exactly 2C/dt + G); each step
-   solves it either through the factor-once zero-fill-in LDLᵀ
-   ([`Direct], two O(n) sweeps) or by matrix-free CG ([`Cg]). *)
-let simulate_sparse ~integration ~solver ?cap_floor tree ~dt ~t_end ~input =
-  let op_dt = match integration with Backward_euler -> dt | Trapezoidal -> dt /. 2. in
-  let op = Large.operator ?cap_floor tree ~dt:op_dt in
-  let rows = Large.node_count op in
-  let c_over_dt = Large.c_over_dt op in
-  let sources = Large.source_rows op in
-  let samples = sample_count ~dt ~t_end in
-  let n = Rctree.Tree.node_count tree in
-  let times = Array.make samples 0. in
-  let node_values = Array.init n (fun _ -> Array.make samples 0.) in
-  let record k t x =
-    times.(k) <- t;
-    for node = 0 to n - 1 do
-      let row = Large.row op node in
-      node_values.(node).(k) <- (if row = -1 then input t else x.(row))
-    done
-  in
-  let solve =
-    match solver with
-    | `Direct ->
-        let f = Large.factor op in
-        fun rhs ->
-          Numeric.Tree_ldl.solve_in_place f rhs;
-          rhs
-    | `Cg ->
-        let diag = Large.diagonal op in
-        fun rhs ->
-          fst (Numeric.Cg.solve ~tol:1e-12 ~diag_precondition:diag ~mul:(Large.apply op) rhs)
-  in
-  let x = ref (Array.make rows 0.) in
-  let rhs = Array.make rows 0. in
-  record 0 0. !x;
-  let t = ref 0. in
-  for k = 1 to samples - 1 do
-    let t' = !t +. dt in
-    let u_now = input !t and u_next = input t' in
-    (match integration with
-    | Backward_euler ->
-        (* rhs = C/dt x_n + b u_{n+1} *)
-        for r = 0 to rows - 1 do
-          rhs.(r) <- c_over_dt.(r) *. !x.(r)
-        done;
-        List.iter (fun (r, g) -> rhs.(r) <- rhs.(r) +. (g *. u_next)) sources
-    | Trapezoidal ->
-        (* rhs = (2C/dt - G) x_n + b (u_n + u_{n+1})
-               = 2 (2C/dt) x_n - (2C/dt + G) x_n + b (u_n + u_{n+1}) *)
-        Large.apply_into op !x ~into:rhs;
-        for r = 0 to rows - 1 do
-          rhs.(r) <- (2. *. c_over_dt.(r) *. !x.(r)) -. rhs.(r)
-        done;
-        List.iter (fun (r, g) -> rhs.(r) <- rhs.(r) +. (g *. (u_now +. u_next))) sources);
-    let x' = solve (Array.blit rhs 0 !x 0 rows; !x) in
-    x := x';
-    Obs.Counter.incr m_steps;
-    record k t' !x;
-    t := t'
-  done;
-  { times; node_values }
-
 let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor tree ~dt ~t_end ~input
     =
-  if dt <= 0. then invalid_arg "Transient.simulate: dt must be positive";
-  if t_end < 0. then invalid_arg "Transient.simulate: t_end must be non-negative";
+  let n = Rctree.Tree.node_count tree in
+  Large.check_grid ~who:"Transient.simulate" ~dt ~t_end ~traces:n;
   Obs.Span.with_ ~name:"circuit.transient" @@ fun () ->
   Obs.Counter.incr m_simulations;
-  let result =
-    match solver with
-    | `Dense ->
-        let r = simulate_dense ~integration ?cap_floor tree ~dt ~t_end ~input in
-        Obs.Counter.add m_steps (Array.length r.times - 1);
-        r
-    | (`Direct | `Cg) as solver ->
-        simulate_sparse ~integration ~solver ?cap_floor tree ~dt ~t_end ~input
-  in
-  Obs.Histogram.observe m_nodes (float_of_int (Rctree.Tree.node_count tree - 1));
-  result
+  (* time advances by accumulated dt until it reaches t_end *)
+  let rec count t k = if t >= t_end then k else count (t +. dt) (k + 1) in
+  let samples = count 0. 1 in
+  let times = Array.make samples 0. in
+  for k = 1 to samples - 1 do
+    times.(k) <- times.(k - 1) +. dt
+  done;
+  let node_values = Array.init n (fun _ -> Array.make samples 0.) in
+  Large.run ?cap_floor ~integration ~solver tree ~dt ~u:(Array.map input times)
+    ~record:(Array.mapi (fun node trace -> (node, trace)) node_values);
+  Obs.Histogram.observe m_nodes (float_of_int (n - 1));
+  { times; node_values }
 
 let waveform r ~node =
   if node < 0 || node >= Array.length r.node_values then

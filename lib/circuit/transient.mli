@@ -6,20 +6,20 @@
     is second-order accurate; halving [dt] quarters the error — tested
     against {!Exact} in the suite.
 
-    The per-step linear solve goes through a [solver] selector shared
-    with {!Large}: the default [`Direct] factors the tree-structured
-    iteration matrix once with the zero-fill-in LDLᵀ of
-    {!Numeric.Tree_ldl} and advances every step with two O(n) sweeps;
-    [`Cg] keeps the matrix-free conjugate-gradient iteration alive;
-    [`Dense] is the original dense MNA + LU path, kept as the oracle
-    the sparse solvers are verified against (property
-    [direct-solver]).  All three integrate the same discrete system,
-    so they agree to solver roundoff. *)
+    {!simulate} is a thin caller of the one stepper, {!Large.run}: it
+    samples the input on its time grid and records every node.  The
+    [solver] selector is {!Large.solver}: the default [`Direct] factors
+    the tree-structured iteration matrix once with the zero-fill-in
+    LDLᵀ of {!Numeric.Tree_ldl} and advances every step with two O(n)
+    sweeps; [`Cg] keeps the matrix-free conjugate-gradient iteration
+    alive (relative residual 1e-12); [`Dense] is the dense MNA + LU
+    path, kept as the oracle the sparse solvers are verified against
+    (property [direct-solver]).  All three integrate the same discrete
+    system, so they agree to solver roundoff. *)
 
-type integration = Backward_euler | Trapezoidal
+type integration = Large.integration = Backward_euler | Trapezoidal
 
-type solver = [ `Direct | `Cg | `Dense ]
-(** See {!Large.solver}. *)
+type solver = Large.solver
 
 type result
 
@@ -32,9 +32,11 @@ val simulate :
   t_end:float ->
   input:(float -> float) ->
   result
-(** Simulates from [t = 0] with all nodes discharged.  Requirements on
-    the tree are those of {!Mna.of_tree}.  Raises [Invalid_argument]
-    for non-positive [dt] or negative [t_end]. *)
+(** Simulates from [t = 0] with all nodes discharged, on the grid
+    [t_0 = 0], [t_(k+1) = t_k +. dt] up to the first [t_k >= t_end].
+    Requirements on the tree are those of {!Mna.of_tree}.  Raises
+    [Invalid_argument] for non-positive [dt], negative [t_end] or a
+    grid (every node recorded) above {!Large.max_grid_values}. *)
 
 val step_input : float -> float
 (** The unit step: 0 for [t < 0], 1 from [t = 0] on (the 0+ value,

@@ -23,8 +23,9 @@
    environment variable enables metrics collection without flags.
 
    Exit codes: 0 success, 1 run-time failure (including a failed
-   certification), 2 unreadable input — a deck or netlist that does
-   not parse or elaborate. *)
+   certification), 2 bad input — a deck or netlist that does not parse
+   or elaborate, a deck value or transient flag the analysis rejects,
+   or a time grid above Circuit.Large.max_grid_values. *)
 
 let load_tree path =
   match Spice.Parser.parse_file path with
@@ -34,13 +35,18 @@ let load_tree path =
       | Error e -> Error (Printf.sprintf "%s: %s" path (Spice.Elaborate.error_to_string e))
       | Ok tree -> Ok tree)
 
-(* bad input is exit 2, distinct from analysis failures (exit 1) *)
+(* bad input is exit 2, distinct from analysis failures (exit 1): a
+   deck that does not load, or a value in it (or a flag) that a library
+   layer rejects with Invalid_argument *)
 let with_tree path f =
-  match load_tree path with
+  match Result.map f (load_tree path) with
+  | Ok code -> code
   | Error msg ->
       prerr_endline msg;
       2
-  | Ok tree -> f tree
+  | exception Invalid_argument msg ->
+      Printf.eprintf "%s: %s\n%!" path msg;
+      2
 
 let fmt_s t = Rctree.Units.format_quantity ~unit_symbol:"s" t
 
@@ -168,16 +174,10 @@ let transient_cmd path dt t_end solver integration samples segments =
       with
       | Error m, _ | _, Error m -> bad m
       | Ok solver, Ok integration ->
-          if t_end <= 0. then begin
-            prerr_endline "transient: --t-end must be positive";
-            1
-          end
+          if t_end <= 0. then bad "--t-end must be positive"
           else begin
             let dt = match dt with Some d -> d | None -> t_end /. 1000. in
-            if dt <= 0. then begin
-              prerr_endline "transient: --dt must be positive";
-              1
-            end
+            if dt <= 0. then bad "--dt must be positive"
             else begin
               let lumped =
                 if Rctree.Tree.has_distributed_lines tree then

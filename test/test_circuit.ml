@@ -314,7 +314,7 @@ let large_tests =
         let out = Rctree.Tree.output_named tree "out" in
         let tau = Rctree.Moments.elmore tree ~output:out in
         let dt = tau /. 50. and t_end = tau in
-        let run solver = List.assoc out (step_response ~solver ~tol:1e-12 tree ~dt ~t_end ~outputs:[ out ]) in
+        let run solver = List.assoc out (step_response ~solver tree ~dt ~t_end ~outputs:[ out ]) in
         let wd = run `Direct and wc = run `Cg and wl = run `Dense and wd2 = run `Direct in
         List.iter
           (fun f ->
@@ -373,23 +373,88 @@ let large_tests =
     Alcotest.test_case "direct stepping does not allocate per step" `Quick (fun () ->
         (* minor-heap growth must not scale with the step count: compare a
            short and a 10x longer run of the same net (metrics disabled);
-           any per-step closure or boxing would add >= thousands of words *)
+           any per-step closure or boxing would add >= thousands of words.
+           Backward Euler through step_response, trapezoidal with a ramp
+           through the stepper itself. *)
         let tree = rc_chain ~sections:200 ~r:10. ~c:1e-13 in
         let out = Rctree.Tree.output_named tree "out" in
         let tau = Rctree.Moments.elmore tree ~output:out in
-        let delta steps =
-          let dt = tau /. float_of_int steps in
+        let words f =
           Gc.full_major ();
           let w0 = Gc.minor_words () in
-          ignore (step_response tree ~dt ~t_end:tau ~outputs:[ out ]);
+          f ();
           Gc.minor_words () -. w0
         in
-        ignore (delta 100) (* warm-up *);
-        let short = delta 500 and long = delta 5000 in
-        check_bool
-          (Printf.sprintf "minor words independent of steps (%.0f vs %.0f)" short long)
-          true
-          (Float.abs (long -. short) < 1000.));
+        let backward_euler steps =
+          let dt = tau /. float_of_int steps in
+          words (fun () -> ignore (step_response tree ~dt ~t_end:tau ~outputs:[ out ]))
+        in
+        let trapezoidal steps =
+          let dt = tau /. float_of_int steps in
+          let u = Array.make (steps + 1) 1. in
+          for k = 0 to steps / 2 do
+            u.(k) <- float_of_int k /. float_of_int (steps / 2)
+          done;
+          let trace = Array.make (steps + 1) 0. in
+          words (fun () ->
+              run ~integration:Trapezoidal ~solver:`Direct tree ~dt ~u ~record:[| (out, trace) |])
+        in
+        List.iter
+          (fun (rule, delta) ->
+            ignore (delta 100) (* warm-up *);
+            let short = delta 500 and long = delta 5000 in
+            check_bool
+              (Printf.sprintf "%s: minor words independent of steps (%.0f vs %.0f)" rule short long)
+              true
+              (Float.abs (long -. short) < 1000.))
+          [ ("backward Euler", backward_euler); ("trapezoidal", trapezoidal) ]);
+    Alcotest.test_case "step_response and Transient.simulate agree bit for bit" `Quick (fun () ->
+        (* dt divides t_end exactly, so step_response's k*dt grid and
+           simulate's accumulated t + dt grid are the same samples *)
+        let tree = fig7_tree () |> Rctree.Lump.discretize ~segments:4 in
+        let dt = 0.5 and t_end = 2. in
+        let all = List.init (Rctree.Tree.node_count tree) Fun.id in
+        let r =
+          Circuit.Transient.simulate ~integration:Backward_euler tree ~dt ~t_end
+            ~input:Circuit.Transient.step_input
+        in
+        let bits w = Array.map Int64.bits_of_float w in
+        List.iter
+          (fun (node, w) ->
+            let w' = Circuit.Transient.waveform r ~node in
+            check_bool (Printf.sprintf "node %d times" node) true
+              (bits (Circuit.Waveform.times w) = bits (Circuit.Waveform.times w'));
+            check_bool (Printf.sprintf "node %d values" node) true
+              (bits (Circuit.Waveform.values w) = bits (Circuit.Waveform.values w')))
+          (step_response tree ~dt ~t_end ~outputs:all));
+    Alcotest.test_case "time grid capped before it is counted" `Quick (fun () ->
+        let capped name f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+          | exception Invalid_argument msg ->
+              check_bool (name ^ " names the limit") true
+                (String.ends_with ~suffix:"(Large.max_grid_values)" msg)
+        in
+        let tree = rc_chain ~sections:1000 ~r:1. ~c:1. in
+        let out = Rctree.Tree.output_named tree "out" in
+        let input = Circuit.Transient.step_input in
+        (* dt below half an ulp of t_end: an uncapped t + dt count never ends *)
+        capped "step_response steps" (fun () ->
+            step_response tree ~dt:1e-30 ~t_end:1. ~outputs:[ out ]);
+        capped "simulate steps" (fun () ->
+            Circuit.Transient.simulate tree ~dt:1e-30 ~t_end:1. ~input);
+        capped "step_response infinite t_end" (fun () ->
+            step_response tree ~dt:1. ~t_end:infinity ~outputs:[ out ]);
+        (* 1e5 steps are fine alone; recording 1000 traces of them is not *)
+        capped "step_response values" (fun () ->
+            step_response tree ~dt:1. ~t_end:1e5 ~outputs:(List.init 1000 (fun _ -> out)));
+        capped "simulate values" (fun () ->
+            Circuit.Transient.simulate tree ~dt:1. ~t_end:1e5 ~input);
+        check_invalid "nan t_end" (fun () -> step_response tree ~dt:1. ~t_end:nan ~outputs:[ out ]);
+        check_invalid "nan dt" (fun () -> Circuit.Transient.simulate tree ~dt:nan ~t_end:1. ~input);
+        check_int "under the cap" 11
+          (Circuit.Waveform.length
+             (List.assoc out (step_response tree ~dt:0.1 ~t_end:1. ~outputs:[ out ]))));
   ]
 
 let () =

@@ -195,7 +195,7 @@ let tests =
             let code_i, _ = run [ "transient"; deck; "--t-end"; "200"; "--integration"; "rk4" ] in
             check_int "integration exit" 2 code_i;
             let code_t, _ = run [ "transient"; deck; "--t-end=-1" ] in
-            check_int "t-end exit" 1 code_t));
+            check_int "t-end exit" 2 code_t));
     Alcotest.test_case "selfcheck: clean run exits 0" `Quick (fun () ->
         let code, out = run [ "selfcheck"; "--cases"; "15"; "--seed"; "42" ] in
         check_int "exit" 0 code;
@@ -253,6 +253,44 @@ let tests =
         check_bool "layers" true (contains out "self-test: all instrumented layers reported");
         check_bool "handle" true
           (contains out "self-test: handle agrees with per-output Moments.times to 1e-12"));
+    Alcotest.test_case "transient: bad --t-end or --dt exits 2" `Quick (fun () ->
+        with_fig7_deck (fun deck ->
+            let code_t, out_t = run [ "transient"; deck; "--t-end"; "0" ] in
+            check_int "t-end exit" 2 code_t;
+            check_bool "t-end message" true (contains out_t "--t-end must be positive");
+            let code_d, out_d = run [ "transient"; deck; "--t-end"; "200"; "--dt"; "0" ] in
+            check_int "dt exit" 2 code_d;
+            check_bool "dt message" true (contains out_d "--dt must be positive")));
+    Alcotest.test_case "transient: a step below an ulp of t-end exits 2 at once" `Quick
+      (fun () ->
+        with_fig7_deck (fun deck ->
+            let t0 = Unix.gettimeofday () in
+            let code, out = run [ "transient"; deck; "--t-end"; "1"; "--dt"; "1e-30" ] in
+            let elapsed = Unix.gettimeofday () -. t0 in
+            check_int "exit" 2 code;
+            check_bool "names the limit" true (contains out "max_grid_values");
+            check_bool (Printf.sprintf "fast (%.3f s)" elapsed) true (elapsed < 1.)));
+    Alcotest.test_case "library Invalid_argument on deck values exits 2" `Quick (fun () ->
+        let with_deck text f =
+          let path = Filename.temp_file "bad" ".sp" in
+          let oc = open_out path in
+          output_string oc text;
+          close_out oc;
+          Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+        in
+        with_deck "VIN in 0 1\nR1 in n1 -5\nC1 n1 0 1p\n.output n1\n.end\n" (fun path ->
+            let code, out = run [ "times"; path ] in
+            check_int "negative resistor exit" 2 code;
+            check_bool "located" true (contains out (path ^ ": "));
+            check_bool "message" true (contains out "non-negative"));
+        let zero_ohm =
+          "VIN in 0 1\nR1 in n1 0\nC1 n1 0 1p\nR2 n1 out 10\nC2 out 0 1p\n.output out\n.end\n"
+        in
+        with_deck zero_ohm (fun path ->
+            let code, out = run [ "transient"; path; "--t-end"; "2" ] in
+            check_int "zero resistor exit" 2 code;
+            check_bool "located" true (contains out (path ^ ": "));
+            check_bool "message" true (contains out "zero resistance")));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

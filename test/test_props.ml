@@ -287,7 +287,7 @@ let misc_props =
         let dt = tau /. 500. in
         let ws =
           List.assoc output
-            (Circuit.Large.step_response ~tol:1e-12 tree ~dt ~t_end:tau ~outputs:[ output ])
+            (Circuit.Large.step_response tree ~dt ~t_end:tau ~outputs:[ output ])
         in
         let t_check = tau /. 2. in
         Float.abs
