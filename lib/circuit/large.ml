@@ -8,24 +8,15 @@ type operator = {
   conductance : float array; (* per row: 1/R of the edge above it *)
   parent_row : int array; (* row of the parent; -1 when the parent is the driven input *)
   c_over_dt : float array;
-  row_of_node : int array;
 }
+
+(* The input is node 0 and ids are parent-first, so node [id] is row
+   [id - 1] and the input's row is -1. *)
 
 let operator ?cap_floor tree ~dt =
   if dt <= 0. then invalid_arg "Large.operator: dt must be positive";
   if Rctree.Tree.has_distributed_lines tree then
     invalid_arg "Large.operator: discretize distributed lines first";
-  let n = Rctree.Tree.node_count tree in
-  let input = Rctree.Tree.input tree in
-  let rows = n - 1 in
-  let row_of_node = Array.make n (-1) in
-  let next = ref 0 in
-  for id = 0 to n - 1 do
-    if id <> input then begin
-      row_of_node.(id) <- !next;
-      incr next
-    end
-  done;
   let floor =
     match cap_floor with
     | Some f ->
@@ -35,33 +26,29 @@ let operator ?cap_floor tree ~dt =
         let total = Rctree.Tree.total_capacitance tree in
         if total > 0. then 1e-12 *. total else 1e-18
   in
+  let rows = Rctree.Tree.node_count tree - 1 in
+  let { Rctree.Tree.parents; resistance; capacitance } = Rctree.Tree.flat tree in
   let conductance = Array.make rows 0. in
   let parent_row = Array.make rows (-1) in
   let c_over_dt = Array.make rows 0. in
-  for id = 0 to n - 1 do
-    if id <> input then begin
-      let row = row_of_node.(id) in
-      c_over_dt.(row) <- Float.max floor (Rctree.Tree.capacitance tree id) /. dt;
-      (match Rctree.Tree.element tree id with
-      | Some (Rctree.Element.Resistor r) when r > 0. -> conductance.(row) <- 1. /. r
-      | Some (Rctree.Element.Resistor _) ->
-          invalid_arg
-            (Printf.sprintf "Large.operator: node %S connects through zero resistance"
-               (Rctree.Tree.node_name tree id))
-      | Some (Rctree.Element.Line _) | Some (Rctree.Element.Capacitor _) | None -> assert false);
-      match Rctree.Tree.parent tree id with
-      | Some p -> parent_row.(row) <- row_of_node.(p)
-      | None -> assert false
-    end
+  for row = 0 to rows - 1 do
+    let id = row + 1 in
+    c_over_dt.(row) <- Float.max floor capacitance.(id) /. dt;
+    let r = resistance.(id) in
+    if not (r > 0.) then
+      invalid_arg
+        (Printf.sprintf "Large.operator: node %S connects through zero resistance"
+           (Rctree.Tree.node_name tree id));
+    conductance.(row) <- 1. /. r;
+    parent_row.(row) <- parents.(id) - 1
   done;
-  { conductance; parent_row; c_over_dt; row_of_node }
+  { conductance; parent_row; c_over_dt }
 
 let node_count op = Array.length op.conductance
 
 let row op node =
-  if node < 0 || node >= Array.length op.row_of_node then
-    invalid_arg "Large.row: unknown node";
-  op.row_of_node.(node)
+  if node < 0 || node > node_count op then invalid_arg "Large.row: unknown node";
+  node - 1
 
 let c_over_dt op = op.c_over_dt
 
@@ -113,10 +100,11 @@ let apply op x =
    before children, so [parent_row] already satisfies Tree_ldl's
    elimination-order contract *)
 let factor op =
-  let offdiag =
-    Array.init (node_count op) (fun r ->
-        if op.parent_row.(r) = -1 then 0. else -.op.conductance.(r))
-  in
+  (* a plain loop: Array.init's closure would box one float per row *)
+  let offdiag = Array.make (node_count op) 0. in
+  for r = 0 to node_count op - 1 do
+    if op.parent_row.(r) <> -1 then offdiag.(r) <- -.op.conductance.(r)
+  done;
   Numeric.Tree_ldl.factor ~parent:op.parent_row ~diag:(diagonal op) ~offdiag
 
 let max_grid_values = 1 lsl 26
@@ -143,8 +131,7 @@ let run ?cap_floor ~integration ~solver tree ~dt ~u ~record =
   in
   Array.iter
     (fun (node, trace) ->
-      if node < 0 || node >= Array.length op.row_of_node then
-        invalid_arg "Large.run: unknown record node";
+      if node < 0 || node > node_count op then invalid_arg "Large.run: unknown record node";
       if Array.length trace < samples then invalid_arg "Large.run: trace shorter than u")
     record;
   let rows = node_count op in
@@ -155,8 +142,7 @@ let run ?cap_floor ~integration ~solver tree ~dt ~u ~record =
     let x = !x in
     for j = 0 to Array.length record - 1 do
       let node, trace = record.(j) in
-      let r = op.row_of_node.(node) in
-      trace.(k) <- (if r = -1 then u.(k) else x.(r))
+      trace.(k) <- (if node = 0 then u.(k) else x.(node - 1))
     done
   in
   (* [advance k] moves the state from sample [k - 1] to sample [k] *)

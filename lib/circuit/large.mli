@@ -42,8 +42,9 @@ type operator
 
 val operator : ?cap_floor:float -> Rctree.Tree.t -> dt:float -> operator
 (** Every node carries at least [cap_floor] capacitance (default as in
-    {!Mna.of_tree}).  Raises [Invalid_argument] on a non-positive [dt],
-    distributed lines or a zero-resistance edge. *)
+    {!Mna.of_tree}).  Reads the tree's flat arrays ({!Rctree.Tree.flat})
+    and allocates nothing per row.  Raises [Invalid_argument] on a
+    non-positive [dt], distributed lines or a zero-resistance edge. *)
 
 val apply : operator -> Numeric.Vector.t -> Numeric.Vector.t
 (** One operator application — exposed for testing against the dense
@@ -56,8 +57,9 @@ val node_count : operator -> int
 (** Unknowns (tree nodes minus the input). *)
 
 val row : operator -> Rctree.Tree.node_id -> int
-(** Matrix row of a tree node; [-1] for the driven input.  Raises
-    [Invalid_argument] on an unknown node. *)
+(** Matrix row of a tree node: its id minus one, so [-1] for the
+    driven input (node 0).  Raises [Invalid_argument] on an unknown
+    node. *)
 
 val diagonal : operator -> Numeric.Vector.t
 (** The matrix diagonal — the Jacobi preconditioner of the [`Cg]

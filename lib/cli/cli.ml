@@ -24,7 +24,7 @@
 
    Exit codes: 0 success, 1 run-time failure (including a failed
    certification), 2 bad input — a deck or netlist that does not parse
-   or elaborate, a deck value or transient flag the analysis rejects,
+   or elaborate, a deck value or a flag the analysis rejects,
    or a time grid above Circuit.Large.max_grid_values. *)
 
 let load_tree path =
@@ -122,9 +122,9 @@ let certify_cmd path threshold deadline =
 
 let simulate_cmd path t_end samples segments =
   with_tree path (fun tree ->
-      if t_end <= 0. then begin
+      if not (t_end > 0.) then begin
         prerr_endline "simulate: --t-end must be positive";
-        1
+        2
       end
       else begin
         let times =
@@ -226,9 +226,9 @@ let pla_cmd minterms threshold =
 
 let ramp_cmd path rise threshold =
   with_tree path (fun tree ->
-      if rise <= 0. then begin
+      if not (rise > 0.) then begin
         prerr_endline "ramp: --rise must be positive";
-        1
+        2
       end
       else begin
         let input = Rctree.Excitation.ramp ~rise_time:rise in

@@ -1,39 +1,64 @@
 type node_id = int
 
+type flat = { parents : int array; resistance : float array; capacitance : float array }
+
+(* A tree is a set of flat arrays indexed by node id.  Ids are assigned
+   parent-first, the input is node 0.  Per node:
+   - [flat]: parent (-1 at the input), series resistance of the edge
+     above (0 at the input) and lumped capacitance;
+   - [kinds]: the kind of that edge, one byte: 'I' input, 'R' resistor,
+     'U' distributed line;
+   - [line_c]: the line's capacitance ('U' edges), 0 otherwise;
+   - [names]: the explicit name, or [unnamed] for the default "n<id>";
+   - CSR children: the children of [i] are
+     [child_ids.(child_start.(i)) .. child_ids.(child_start.(i + 1) - 1)]
+     in ascending id, which is insertion order. *)
 type t = {
   name : string;
-  parents : int array; (* -1 for the input *)
-  elements : Element.t option array;
-  caps : float array;
+  flat : flat;
+  kinds : string;
+  line_c : float array;
   names : string array;
-  children : int list array; (* in insertion order *)
+  child_start : int array;
+  child_ids : int array;
   outputs : (string * node_id) list;
 }
 
-module Builder = struct
-  type entry = {
-    b_parent : int;
-    b_element : Element.t option;
-    mutable b_cap : float;
-    b_name : string;
-    mutable b_children : int list; (* reverse insertion order *)
-  }
+(* the placeholder of a node without an explicit name, told apart from
+   any caller's string (even an empty one) by physical equality *)
+let unnamed = String.make 0 ' '
 
+let default_name id = "n" ^ string_of_int id
+let name_in names id = if names.(id) == unnamed then default_name id else names.(id)
+
+module Builder = struct
   type t = {
     tree_name : string;
-    mutable entries : entry array;
+    mutable parents : int array;
+    mutable kinds : Bytes.t;
+    mutable r : float array;
+    mutable line_c : float array;
+    mutable caps : float array;
+    mutable names : string array;
     mutable count : int;
     mutable outs : (string * node_id) list; (* reverse marking order *)
   }
 
-  let default_name id = "n" ^ string_of_int id
-
   let create ?(name = "rc-tree") () =
-    let input_entry =
-      { b_parent = -1; b_element = None; b_cap = 0.; b_name = "in"; b_children = [] }
-    in
-    let entries = Array.make 8 input_entry in
-    { tree_name = name; entries; count = 1; outs = [] }
+    let size = 8 in
+    let names = Array.make size unnamed in
+    names.(0) <- "in";
+    {
+      tree_name = name;
+      parents = Array.make size (-1);
+      kinds = Bytes.make size 'I';
+      r = Array.make size 0.;
+      line_c = Array.make size 0.;
+      caps = Array.make size 0.;
+      names;
+      count = 1;
+      outs = [];
+    }
 
   let input (_ : t) = 0
 
@@ -42,20 +67,29 @@ module Builder = struct
       invalid_arg (Printf.sprintf "Tree.Builder.%s: unknown node %d" op id)
 
   let grow b =
-    if b.count = Array.length b.entries then begin
-      let bigger = Array.make (2 * b.count) b.entries.(0) in
-      Array.blit b.entries 0 bigger 0 b.count;
-      b.entries <- bigger
+    if b.count = Array.length b.parents then begin
+      let extend a fill =
+        let bigger = Array.make (2 * b.count) fill in
+        Array.blit a 0 bigger 0 b.count;
+        bigger
+      in
+      b.parents <- extend b.parents (-1);
+      b.kinds <- Bytes.extend b.kinds 0 b.count;
+      b.r <- extend b.r 0.;
+      b.line_c <- extend b.line_c 0.;
+      b.caps <- extend b.caps 0.;
+      b.names <- extend b.names unnamed
     end
 
-  let add_entry b ~parent ~name element =
+  let add_edge b ~parent ~name kind r line_c =
     grow b;
     let id = b.count in
-    let name = match name with Some n -> n | None -> default_name id in
-    b.entries.(id) <- { b_parent = parent; b_element = Some element; b_cap = 0.; b_name = name; b_children = [] };
+    b.parents.(id) <- parent;
+    Bytes.set b.kinds id kind;
+    b.r.(id) <- r;
+    b.line_c.(id) <- line_c;
+    b.names.(id) <- (match name with Some n -> n | None -> unnamed);
     b.count <- id + 1;
-    let p = b.entries.(parent) in
-    p.b_children <- id :: p.b_children;
     id
 
   let add_node b ~parent ?name element =
@@ -63,7 +97,9 @@ module Builder = struct
     match element with
     | Element.Capacitor _ ->
         invalid_arg "Tree.Builder.add_node: capacitance belongs to nodes, use add_capacitance"
-    | Element.Resistor _ | Element.Line _ -> add_entry b ~parent ~name element
+    | Element.Resistor r -> add_edge b ~parent ~name 'R' r 0.
+    | Element.Line { resistance; capacitance } ->
+        add_edge b ~parent ~name 'U' resistance capacitance
 
   let add_resistor b ~parent ?name r = add_node b ~parent ?name (Element.resistor r)
 
@@ -71,8 +107,7 @@ module Builder = struct
     check_node b id "add_capacitance";
     if c < 0. || not (Float.is_finite c) then
       invalid_arg "Tree.Builder.add_capacitance: capacitance must be finite and non-negative";
-    let e = b.entries.(id) in
-    e.b_cap <- e.b_cap +. c
+    b.caps.(id) <- b.caps.(id) +. c
 
   let add_line b ~parent ?name resistance capacitance =
     check_node b parent "add_line";
@@ -80,57 +115,96 @@ module Builder = struct
     | Element.Capacitor c ->
         add_capacitance b parent c;
         parent
-    | (Element.Resistor _ | Element.Line _) as e -> add_entry b ~parent ~name e
+    | (Element.Resistor _ | Element.Line _) as e -> add_node b ~parent ?name e
 
   let mark_output b ?label id =
     check_node b id "mark_output";
-    let label = match label with Some l -> l | None -> b.entries.(id).b_name in
+    let label = match label with Some l -> l | None -> name_in b.names id in
     if not (List.exists (fun (l, n) -> l = label && n = id) b.outs) then
       b.outs <- (label, id) :: b.outs
 
+  (* copies, so the builder stays usable; then children in CSR form by
+     one counting pass in ascending id *)
   let finish b =
     let n = b.count in
+    let parents = Array.sub b.parents 0 n in
+    let child_start = Array.make (n + 1) 0 in
+    for id = 1 to n - 1 do
+      let slot = parents.(id) + 1 in
+      child_start.(slot) <- child_start.(slot) + 1
+    done;
+    for i = 1 to n do
+      child_start.(i) <- child_start.(i) + child_start.(i - 1)
+    done;
+    let next = Array.sub child_start 0 n in
+    let child_ids = Array.make (n - 1) 0 in
+    for id = 1 to n - 1 do
+      let p = parents.(id) in
+      child_ids.(next.(p)) <- id;
+      next.(p) <- next.(p) + 1
+    done;
     {
       name = b.tree_name;
-      parents = Array.init n (fun i -> b.entries.(i).b_parent);
-      elements = Array.init n (fun i -> b.entries.(i).b_element);
-      caps = Array.init n (fun i -> b.entries.(i).b_cap);
-      names = Array.init n (fun i -> b.entries.(i).b_name);
-      children = Array.init n (fun i -> List.rev b.entries.(i).b_children);
+      flat =
+        { parents; resistance = Array.sub b.r 0 n; capacitance = Array.sub b.caps 0 n };
+      kinds = Bytes.sub_string b.kinds 0 n;
+      line_c = Array.sub b.line_c 0 n;
+      names = Array.sub b.names 0 n;
+      child_start;
+      child_ids;
       outputs = List.rev b.outs;
     }
 end
 
 let name t = t.name
-let node_count t = Array.length t.parents
+let node_count t = Array.length t.flat.parents
 let input (_ : t) = 0
+let flat t = t.flat
 
 let check t id op =
   if id < 0 || id >= node_count t then invalid_arg (Printf.sprintf "Tree.%s: unknown node %d" op id)
 
 let parent t id =
   check t id "parent";
-  if id = 0 then None else Some t.parents.(id)
+  if id = 0 then None else Some t.flat.parents.(id)
 
 let element t id =
   check t id "element";
-  t.elements.(id)
+  match t.kinds.[id] with
+  | 'R' -> Some (Element.Resistor t.flat.resistance.(id))
+  | 'U' -> Some (Element.Line { resistance = t.flat.resistance.(id); capacitance = t.line_c.(id) })
+  | _ -> None
 
 let capacitance t id =
   check t id "capacitance";
-  t.caps.(id)
+  t.flat.capacitance.(id)
 
 let children t id =
   check t id "children";
-  t.children.(id)
+  let first = t.child_start.(id) in
+  let rec collect i acc = if i < first then acc else collect (i - 1) (t.child_ids.(i) :: acc) in
+  collect (t.child_start.(id + 1) - 1) []
 
 let node_name t id =
   check t id "node_name";
-  t.names.(id)
+  name_in t.names id
 
 let find_node t n =
+  (* the id whose default name is [n], if any: parsed once, so the scan
+     compares strings without making a name per node *)
+  let default_id =
+    let len = String.length n in
+    if len < 2 || n.[0] <> 'n' then -1
+    else
+      match int_of_string_opt (String.sub n 1 (len - 1)) with
+      | Some k when String.equal (default_name k) n -> k
+      | Some _ | None -> -1
+  in
   let rec scan i =
-    if i >= node_count t then None else if t.names.(i) = n then Some i else scan (i + 1)
+    if i >= node_count t then None
+    else
+      let s = t.names.(i) in
+      if (if s == unnamed then i = default_id else String.equal s n) then Some i else scan (i + 1)
   in
   scan 0
 
@@ -140,25 +214,24 @@ let is_output t id = List.exists (fun (_, n) -> n = id) t.outputs
 
 let depth t id =
   check t id "depth";
-  let rec up id acc = if id = 0 then acc else up t.parents.(id) (acc + 1) in
+  let rec up id acc = if id = 0 then acc else up t.flat.parents.(id) (acc + 1) in
   up id 0
 
 let total_capacitance t =
   let acc = ref 0. in
   for i = 0 to node_count t - 1 do
-    acc := !acc +. t.caps.(i) +. (match t.elements.(i) with Some e -> Element.capacitance e | None -> 0.)
+    acc := !acc +. t.flat.capacitance.(i) +. t.line_c.(i)
   done;
   !acc
 
 let total_resistance t =
   let acc = ref 0. in
   for i = 0 to node_count t - 1 do
-    acc := !acc +. (match t.elements.(i) with Some e -> Element.resistance e | None -> 0.)
+    acc := !acc +. t.flat.resistance.(i)
   done;
   !acc
 
-let has_distributed_lines t =
-  Array.exists (function Some e -> Element.is_distributed e | None -> false) t.elements
+let has_distributed_lines t = String.contains t.kinds 'U'
 
 (* node ids are assigned parent-first by the builder, so index order is
    already a valid top-down order *)
@@ -177,12 +250,13 @@ let iter_nodes t ~f =
 let pp fmt t =
   let rec dump indent id =
     let elem =
-      match t.elements.(id) with None -> "input" | Some e -> Format.asprintf "%a" Element.pp e
+      match element t id with None -> "input" | Some e -> Format.asprintf "%a" Element.pp e
     in
-    let cap = if t.caps.(id) > 0. then Format.asprintf " C=%s" (Units.format_si t.caps.(id)) else "" in
+    let c = t.flat.capacitance.(id) in
+    let cap = if c > 0. then Format.asprintf " C=%s" (Units.format_si c) else "" in
     let out = if is_output t id then " [output]" else "" in
-    Format.fprintf fmt "%s%s: %s%s%s@," indent t.names.(id) elem cap out;
-    List.iter (dump (indent ^ "  ")) t.children.(id)
+    Format.fprintf fmt "%s%s: %s%s%s@," indent (name_in t.names id) elem cap out;
+    List.iter (dump (indent ^ "  ")) (children t id)
   in
   Format.fprintf fmt "@[<v>tree %s@," t.name;
   dump "  " 0;

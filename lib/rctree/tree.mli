@@ -11,7 +11,12 @@
 
     Distributed lines keep their identity (they are NOT pre-lumped);
     {!Moments} integrates over them exactly and {!Lump} discretizes
-    them when a simulation needs a finite state space. *)
+    them when a simulation needs a finite state space.
+
+    The frozen form is flat: parallel arrays indexed by node id
+    (parents, series resistances, capacitances, an edge-kind byte)
+    and the children in compressed (CSR) form.  Default names
+    ["n<id>"] are not stored; {!node_name} makes them on demand. *)
 
 type node_id = int
 
@@ -56,6 +61,20 @@ module Builder : sig
 end
 
 val name : t -> string
+
+type flat = private {
+  parents : node_id array;  (** [-1] at the input *)
+  resistance : float array;
+      (** series resistance of the edge above the node, resistor or
+          line; [0.] at the input *)
+  capacitance : float array;  (** lumped, as {!capacitance} *)
+}
+(** The per-node arrays of a tree, indexed by node id. *)
+
+val flat : t -> flat
+(** The tree's own arrays, borrowed: do not mutate them.  For loops
+    over every node, where {!parent} and {!element} would build an
+    option per call; reading them allocates nothing. *)
 
 val node_count : t -> int
 

@@ -7,6 +7,7 @@ type error =
   | Cycle of string
   | Disconnected of string list
   | Unknown_output of string
+  | Bad_value of string
 
 let error_to_string = function
   | No_source -> "deck has no source card (V...)"
@@ -21,6 +22,7 @@ let error_to_string = function
   | Cycle name -> Printf.sprintf "element %S closes a cycle; the network is not a tree" name
   | Disconnected nodes -> "nodes not reachable from the input: " ^ String.concat ", " nodes
   | Unknown_output node -> Printf.sprintf ".output names unknown node %S" node
+  | Bad_value card -> Printf.sprintf "card %S: value must be finite and non-negative" card
 
 exception Elab_error of error
 
@@ -28,6 +30,8 @@ let fail e = raise (Elab_error e)
 
 (* series edge extracted from an R or U card *)
 type edge = { e_name : string; e_n1 : string; e_n2 : string; e_elem : float * float }
+
+let bad_value x = x < 0. || not (Float.is_finite x)
 
 let to_tree_internal deck =
   let sources =
@@ -52,12 +56,15 @@ let to_tree_internal deck =
       match card with
       | Deck.Source _ -> ()
       | Deck.Resistor { name; n1; n2; value } ->
+          if bad_value value then fail (Bad_value ("R" ^ name));
           if Deck.is_ground n1 || Deck.is_ground n2 then fail (Element_to_ground name);
           edges := { e_name = name; e_n1 = n1; e_n2 = n2; e_elem = (value, 0.) } :: !edges
       | Deck.Line { name; n1; n2; resistance; capacitance } ->
+          if bad_value resistance || bad_value capacitance then fail (Bad_value ("U" ^ name));
           if Deck.is_ground n1 || Deck.is_ground n2 then fail (Element_to_ground name);
           edges := { e_name = name; e_n1 = n1; e_n2 = n2; e_elem = (resistance, capacitance) } :: !edges
       | Deck.Capacitor { name; n1; n2; value } ->
+          if bad_value value then fail (Bad_value ("C" ^ name));
           let node =
             if Deck.is_ground n1 && not (Deck.is_ground n2) then n2
             else if Deck.is_ground n2 && not (Deck.is_ground n1) then n1

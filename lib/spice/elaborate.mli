@@ -5,7 +5,8 @@
       terminal is the tree input;
     - resistor and line cards connect two non-ground nodes and must form
       a tree rooted at the input (no cycles, nothing floating);
-    - capacitor cards have exactly one grounded terminal.
+    - capacitor cards have exactly one grounded terminal;
+    - every R, C and U value is finite and non-negative.
 
     Outputs come from the deck's [.output] directives; when there are
     none, every leaf node becomes an output (a convenience for small
@@ -20,6 +21,9 @@ type error =
   | Cycle of string  (** name of the edge card closing the cycle *)
   | Disconnected of string list  (** nodes unreachable from the input *)
   | Unknown_output of string
+  | Bad_value of string
+      (** an R, C or U card with a negative or non-finite value: the
+          card's letter and name, e.g. ["R1"] *)
 
 val to_tree : Deck.t -> (Rctree.Tree.t, error) result
 

@@ -455,6 +455,23 @@ let large_tests =
         check_int "under the cap" 11
           (Circuit.Waveform.length
              (List.assoc out (step_response tree ~dt:0.1 ~t_end:1. ~outputs:[ out ]))));
+    Alcotest.test_case "operator and factor allocate under a word per row" `Quick (fun () ->
+        (* arrays of 100k floats go straight to the major heap, so minor
+           words here are per-row options or boxed floats *)
+        let rows = 100_000 in
+        let tree = rc_chain ~sections:rows ~r:1. ~c:1e-12 in
+        Gc.full_major ();
+        let w0 = Gc.minor_words () in
+        let (_ : Numeric.Tree_ldl.t) = factor (operator tree ~dt:1e-12) in
+        let per_row = (Gc.minor_words () -. w0) /. float_of_int rows in
+        check_bool (Printf.sprintf "%.2f minor words per row" per_row) true (per_row < 1.));
+    Alcotest.test_case "row is the node id minus one" `Quick (fun () ->
+        let tree = rc_chain ~sections:5 ~r:1. ~c:1. in
+        let op = operator tree ~dt:1. in
+        check_int "input" (-1) (row op (Rctree.Tree.input tree));
+        check_int "last" 4 (row op 5);
+        check_invalid "past the end" (fun () -> row op 6);
+        check_invalid "negative" (fun () -> row op (-1)));
   ]
 
 let () =

@@ -291,6 +291,40 @@ let tests =
             check_int "zero resistor exit" 2 code;
             check_bool "located" true (contains out (path ^ ": "));
             check_bool "message" true (contains out "zero resistance")));
+    Alcotest.test_case "bad deck value names the card, exits 2" `Quick (fun () ->
+        let with_deck text f =
+          let path = Filename.temp_file "bad" ".sp" in
+          let oc = open_out path in
+          output_string oc text;
+          close_out oc;
+          Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+        in
+        List.iter
+          (fun (card, deck) ->
+            with_deck deck (fun path ->
+                let code, out = run [ "times"; path ] in
+                check_int (card ^ " exit") 2 code;
+                check_bool (card ^ " located") true (contains out (path ^ ": "));
+                check_bool (card ^ " named") true (contains out (Printf.sprintf "card %S" card));
+                check_bool (card ^ " not from the builder") false (contains out "Element.")))
+          [
+            ("R1", "VIN in 0 1\nR1 in n1 -5\nC1 n1 0 1p\n.end\n");
+            ("C7", "VIN in 0 1\nR1 in n1 5\nC7 n1 0 -1p\n.end\n");
+            ("U2", "VIN in 0 1\nR1 in n1 5\nU2 n1 n2 1k -2p\nC1 n2 0 1p\n.end\n");
+          ]);
+    Alcotest.test_case "simulate and ramp: bad --t-end or --rise exits 2" `Quick (fun () ->
+        with_fig7_deck (fun deck ->
+            List.iter
+              (fun (args, message) ->
+                let code, out = run args in
+                check_int (String.concat " " args ^ " exit") 2 code;
+                check_bool (message ^ " reported") true (contains out message))
+              [
+                ([ "simulate"; deck; "--t-end=0" ], "--t-end must be positive");
+                ([ "simulate"; deck; "--t-end=-1" ], "--t-end must be positive");
+                ([ "ramp"; deck; "--rise"; "0" ], "--rise must be positive");
+                ([ "ramp"; deck; "--rise=-1" ], "--rise must be positive");
+              ]));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

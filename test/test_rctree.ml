@@ -343,6 +343,83 @@ let tree_tests =
         let t2 = Builder.finish b in
         check_int "t1 frozen" 2 (node_count t1);
         check_int "t2 grew" 3 (node_count t2));
+    Alcotest.test_case "default-named chain takes at most 8 words per node" `Quick (fun () ->
+        let b = Builder.create () in
+        let at = ref (Builder.input b) in
+        for _ = 1 to 100_000 do
+          let n = Builder.add_resistor b ~parent:!at 1. in
+          Builder.add_capacitance b n 1.;
+          at := n
+        done;
+        let t = Builder.finish b in
+        let per_node =
+          float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int (node_count t)
+        in
+        check_bool (Printf.sprintf "%.2f words per node" per_node) true (per_node <= 8.);
+        check_string "default name" "n70000" (node_name t 70_000));
+    Alcotest.test_case "find_node: lowest id, no name made per node" `Quick (fun () ->
+        let b = Builder.create () in
+        let explicit = Builder.add_resistor b ~parent:(Builder.input b) ~name:"n5" 1. in
+        let at = ref explicit in
+        for _ = 1 to 6 do
+          at := Builder.add_resistor b ~parent:!at 1.
+        done;
+        let late = Builder.add_resistor b ~parent:!at ~name:"n3" 1. in
+        let t = Builder.finish b in
+        check_string "default n5" "n5" (node_name t 5);
+        check_bool "explicit n5 first" true (find_node t "n5" = Some explicit);
+        check_bool "default n3 before explicit" true (find_node t "n3" = Some 3);
+        check_string "late keeps its name" "n3" (node_name t late);
+        check_bool "n6" true (find_node t "n6" = Some 6);
+        check_bool "not canonical" true (find_node t "n06" = None);
+        check_bool "input" true (find_node t "in" = Some (input t));
+        let b = Builder.create () in
+        let at = ref (Builder.input b) in
+        for _ = 1 to 100_000 do
+          at := Builder.add_resistor b ~parent:!at 1.
+        done;
+        let t = Builder.finish b in
+        let w0 = Gc.minor_words () in
+        let found = find_node t "n99999" and missing = find_node t "zz" in
+        let words = Gc.minor_words () -. w0 in
+        check_bool "deep" true (found = Some 99_999 && missing = None);
+        check_bool (Printf.sprintf "%.0f minor words" words) true (words < 100.));
+    Alcotest.test_case "children keep insertion order" `Quick (fun () ->
+        let b = Builder.create () in
+        let hub = Builder.add_resistor b ~parent:(Builder.input b) 1. in
+        let x = Builder.add_resistor b ~parent:hub 1. in
+        let side = Builder.add_resistor b ~parent:(Builder.input b) 1. in
+        let z = Builder.add_line b ~parent:hub 1. 2. in
+        let w = Builder.add_resistor b ~parent:side 1. in
+        let v = Builder.add_resistor b ~parent:hub 1. in
+        let t = Builder.finish b in
+        Alcotest.(check (list int)) "hub" [ x; z; v ] (children t hub);
+        Alcotest.(check (list int)) "input" [ hub; side ] (children t (input t));
+        Alcotest.(check (list int)) "side" [ w ] (children t side);
+        Alcotest.(check (list int)) "leaf" [] (children t v));
+    Alcotest.test_case "adding after finish leaves the frozen tree alone" `Quick (fun () ->
+        let open Builder in
+        let b = create ~name:"grow" () in
+        let a = add_resistor b ~parent:(input b) ~name:"a" 2. in
+        add_capacitance b a 1.;
+        mark_output b a;
+        let t = finish b in
+        let before = Format.asprintf "%a" pp t in
+        add_capacitance b a 5.;
+        let c = add_line b ~parent:a 3. 4. in
+        mark_output b c;
+        let (_ : node_id) = add_resistor b ~parent:(input b) 1. in
+        check_string "pp" before (Format.asprintf "%a" pp t);
+        check_int "nodes" 2 (node_count t);
+        check_float "capacitance" 1. (capacitance t a);
+        Alcotest.(check (list int)) "children" [] (children t a);
+        check_int "outputs" 1 (List.length (outputs t));
+        check_float "grown" 6. (capacitance (finish b) a));
+    Alcotest.test_case "pp of fig7 is unchanged" `Quick (fun () ->
+        let t, _, _, _ = build_fig7 () in
+        check_string "dump"
+          "tree fig7\n  in: input\n    a: R(15) C=2\n      b: R(8) C=7\n      e: URC(3,4) C=9 [output]\n"
+          (Format.asprintf "%a" pp t));
   ]
 
 (* --- Path: the Fig. 3 resistance definitions ---------------------------- *)

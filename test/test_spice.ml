@@ -158,6 +158,36 @@ let elaborate_tests =
         match Spice.Elaborate.to_tree_exn (parse_ok "R1 in a 1\n") with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument msg -> check_bool "has message" true (String.length msg > 0));
+    Alcotest.test_case "negative values name the card" `Quick (fun () ->
+        List.iter
+          (fun (text, card) ->
+            check_bool card true (elab_err (parse_ok text) = Spice.Elaborate.Bad_value card))
+          [
+            ("V1 in 0\nR1 in a -5\nC1 a 0 1\n", "R1");
+            ("V1 in 0\nR1 in a 5\nC3 a 0 -1\n", "C3");
+            ("V1 in 0\nR1 in a 5\nUw a b -1 2\nC1 b 0 1\n", "Uw");
+            ("V1 in 0\nR1 in a 5\nU2 a b 1 -2\nC1 b 0 1\n", "U2");
+          ]);
+    Alcotest.test_case "non-finite values name the card" `Quick (fun () ->
+        (* the parser refuses these, so build the deck directly *)
+        let deck value =
+          Spice.Deck.make
+            [
+              Spice.Deck.Source { name = "1"; n1 = "in"; n2 = "0" };
+              Spice.Deck.Resistor { name = "1"; n1 = "in"; n2 = "a"; value = 1. };
+              Spice.Deck.Capacitor { name = "9"; n1 = "a"; n2 = "0"; value };
+            ]
+        in
+        List.iter
+          (fun v ->
+            check_bool (Printf.sprintf "%g" v) true
+              (elab_err (deck v) = Spice.Elaborate.Bad_value "C9"))
+          [ nan; infinity; neg_infinity ];
+        match Spice.Elaborate.to_tree_exn (deck nan) with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument msg ->
+            check_bool "message" true
+              (String.ends_with ~suffix:{|card "C9": value must be finite and non-negative|} msg));
   ]
 
 let include_tests =
