@@ -31,15 +31,19 @@ let operator ?cap_floor tree ~dt =
   let conductance = Array.make rows 0. in
   let parent_row = Array.make rows (-1) in
   let c_over_dt = Array.make rows 0. in
+  let reject id what =
+    invalid_arg (Printf.sprintf "Large.operator: node %S %s" (Rctree.Tree.node_name tree id) what)
+  in
   for row = 0 to rows - 1 do
     let id = row + 1 in
-    c_over_dt.(row) <- Float.max floor capacitance.(id) /. dt;
     let r = resistance.(id) in
-    if not (r > 0.) then
-      invalid_arg
-        (Printf.sprintf "Large.operator: node %S connects through zero resistance"
-           (Rctree.Tree.node_name tree id));
-    conductance.(row) <- 1. /. r;
+    if not (r > 0.) then reject id "connects through zero resistance";
+    let g = 1. /. r and c = Float.max floor capacitance.(id) /. dt in
+    (* a non-finite entry would turn every later sample into NaN *)
+    if not (Float.is_finite g) then reject id "has a resistance too small for a finite 1/R";
+    if not (Float.is_finite c) then reject id "has a capacitance too large for a finite C/dt";
+    conductance.(row) <- g;
+    c_over_dt.(row) <- c;
     parent_row.(row) <- parents.(id) - 1
   done;
   { conductance; parent_row; c_over_dt }
@@ -122,27 +126,30 @@ let check_grid ~who ~dt ~t_end ~traces =
           values (Large.max_grid_values)"
          who steps traces max_grid_values)
 
-let run ?cap_floor ~integration ~solver tree ~dt ~u ~record =
+let run ?cap_floor ~integration ~solver tree ~dt ~u ~record ~into =
   let samples = Array.length u in
   if samples = 0 then invalid_arg "Large.run: empty input";
   let op =
     operator ?cap_floor tree
       ~dt:(match integration with Backward_euler -> dt | Trapezoidal -> dt /. 2.)
   in
+  let m = Array.length record in
   Array.iter
-    (fun (node, trace) ->
-      if node < 0 || node > node_count op then invalid_arg "Large.run: unknown record node";
-      if Array.length trace < samples then invalid_arg "Large.run: trace shorter than u")
+    (fun node ->
+      if node < 0 || node > node_count op then invalid_arg "Large.run: unknown record node")
     record;
+  (* a quotient, not samples * m, which could overflow *)
+  if m > 0 && Array.length into / m < samples then
+    invalid_arg "Large.run: into shorter than samples * recorded nodes";
   let rows = node_count op in
   let x = ref (Array.make rows 0.) in
-  (* plain loops over arrays, not List.iter closures: no per-step
-     allocation *)
+  (* sample k is one contiguous row of [into]; plain loops, not
+     closures, so nothing is allocated per step *)
   let record k =
-    let x = !x in
-    for j = 0 to Array.length record - 1 do
-      let node, trace = record.(j) in
-      trace.(k) <- (if node = 0 then u.(k) else x.(node - 1))
+    let x = !x and base = k * m in
+    for j = 0 to m - 1 do
+      let node = record.(j) in
+      into.(base + j) <- (if node = 0 then u.(k) else x.(node - 1))
     done
   in
   (* [advance k] moves the state from sample [k - 1] to sample [k] *)
@@ -214,10 +221,19 @@ let step_response ?cap_floor ?(solver = `Direct) tree ~dt ~t_end ~outputs =
   for k = 1 to samples - 1 do
     times.(k) <- float_of_int k *. dt
   done;
-  let traces = List.map (fun node -> (node, Array.make samples 0.)) outputs in
-  run ?cap_floor ~integration:Backward_euler ~solver tree ~dt ~u:(Array.make samples 1.)
-    ~record:(Array.of_list traces);
-  List.map (fun (node, values) -> (node, Waveform.create ~times ~values)) traces
+  let record = Array.of_list outputs in
+  let m = Array.length record in
+  let into = Array.make (samples * m) 0. in
+  run ?cap_floor ~integration:Backward_euler ~solver tree ~dt ~u:(Array.make samples 1.) ~record
+    ~into;
+  List.mapi
+    (fun j node ->
+      let values = Array.make samples 0. in
+      for k = 0 to samples - 1 do
+        values.(k) <- into.((k * m) + j)
+      done;
+      (node, Waveform.create ~times ~values))
+    outputs
 
 let rc_chain ~sections ~r ~c =
   if sections < 1 then invalid_arg "Large.rc_chain: need at least one section";

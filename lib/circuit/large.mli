@@ -44,7 +44,9 @@ val operator : ?cap_floor:float -> Rctree.Tree.t -> dt:float -> operator
 (** Every node carries at least [cap_floor] capacitance (default as in
     {!Mna.of_tree}).  Reads the tree's flat arrays ({!Rctree.Tree.flat})
     and allocates nothing per row.  Raises [Invalid_argument] on a
-    non-positive [dt], distributed lines or a zero-resistance edge. *)
+    non-positive [dt], distributed lines, a zero-resistance edge, or a
+    node whose [1/R] or floored [C/dt] is not finite (the message
+    names the node). *)
 
 val apply : operator -> Numeric.Vector.t -> Numeric.Vector.t
 (** One operator application — exposed for testing against the dense
@@ -97,16 +99,22 @@ val run :
   Rctree.Tree.t ->
   dt:float ->
   u:float array ->
-  record:(Rctree.Tree.node_id * float array) array ->
+  record:Rctree.Tree.node_id array ->
+  into:float array ->
   unit
 (** The stepper.  [u.(k)] is the input at sample [k] of a grid of
     [Array.length u] samples spaced [dt] apart; every node starts
-    discharged at sample 0, and [Array.length u - 1] steps follow.  For
-    each [(node, trace)] of [record], [trace.(k)] receives the node's
-    voltage at sample [k] ([u.(k)] for the driven input).  Apart from
-    setup, the [`Direct] path allocates nothing per step.  Raises
-    [Invalid_argument] on an empty [u], an unknown node or a trace
-    shorter than [u]; the grid itself is the caller's to cap with
+    discharged at sample 0, and [Array.length u - 1] steps follow.
+
+    [into] is one caller-owned, sample-major buffer: with
+    [m = Array.length record], sample [k] of node [record.(j)] lands at
+    [into.(k * m + j)] ([u.(k)] for the driven input), so each step
+    writes one contiguous row of [m] values.  Entries past
+    [Array.length u * m] are left alone.  Apart from setup, the
+    [`Direct] path allocates nothing per step.  Raises
+    [Invalid_argument] on an empty [u], an unknown node in [record], an
+    [into] shorter than [Array.length u * m], or an operator that
+    {!operator} rejects; the grid itself is the caller's to cap with
     {!check_grid}. *)
 
 val step_response :

@@ -6,7 +6,8 @@ let m_nodes = Obs.Histogram.make "transient.nodes_per_sim"
 
 type result = {
   times : float array;
-  node_values : float array array; (* indexed by tree node id, then sample *)
+  nodes : int; (* every tree node is recorded, in id order *)
+  values : float array; (* sample-major: sample k of node i at k * nodes + i *)
 }
 
 let step_input t = if t < 0. then 0. else 1.
@@ -28,19 +29,23 @@ let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor tree ~d
   for k = 1 to samples - 1 do
     times.(k) <- times.(k - 1) +. dt
   done;
-  let node_values = Array.init n (fun _ -> Array.make samples 0.) in
+  let values = Array.make (samples * n) 0. in
   Large.run ?cap_floor ~integration ~solver tree ~dt ~u:(Array.map input times)
-    ~record:(Array.mapi (fun node trace -> (node, trace)) node_values);
+    ~record:(Array.init n Fun.id) ~into:values;
   Obs.Histogram.observe m_nodes (float_of_int (n - 1));
-  { times; node_values }
+  { times; nodes = n; values }
 
 let waveform r ~node =
-  if node < 0 || node >= Array.length r.node_values then
-    invalid_arg "Transient.waveform: unknown node";
-  Waveform.create ~times:r.times ~values:r.node_values.(node)
+  if node < 0 || node >= r.nodes then invalid_arg "Transient.waveform: unknown node";
+  let samples = Array.length r.times in
+  let column = Array.make samples 0. in
+  for k = 0 to samples - 1 do
+    column.(k) <- r.values.((k * r.nodes) + node)
+  done;
+  Waveform.create ~times:r.times ~values:column
 
-let nodes r = List.init (Array.length r.node_values) Fun.id
+let nodes r = List.init r.nodes Fun.id
 
 let final_voltages r =
-  let last = Array.length r.times - 1 in
-  List.map (fun node -> (node, r.node_values.(node).(last))) (nodes r)
+  let last = (Array.length r.times - 1) * r.nodes in
+  List.map (fun node -> (node, r.values.(last + node))) (nodes r)

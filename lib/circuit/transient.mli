@@ -7,7 +7,9 @@
     against {!Exact} in the suite.
 
     {!simulate} is a thin caller of the one stepper, {!Large.run}: it
-    samples the input on its time grid and records every node.  The
+    samples the input on its time grid and records every node into one
+    sample-major buffer, which the abstract {!result} keeps as it is;
+    {!waveform} and {!final_voltages} read from it on demand.  The
     [solver] selector is {!Large.solver}: the default [`Direct] factors
     the tree-structured iteration matrix once with the zero-fill-in
     LDLᵀ of {!Numeric.Tree_ldl} and advances every step with two O(n)
@@ -22,6 +24,9 @@ type integration = Large.integration = Backward_euler | Trapezoidal
 type solver = Large.solver
 
 type result
+(** The time grid plus one flat sample-major buffer holding every
+    node's voltage at every sample (sample [k] of node [i] at
+    [k * node_count + i]), one row per step. *)
 
 val simulate :
   ?integration:integration ->
@@ -46,7 +51,8 @@ val ramp_input : rise_time:float -> float -> float
 (** 0 before [t = 0], linear to 1 over [rise_time], then 1. *)
 
 val waveform : result -> node:Rctree.Tree.node_id -> Waveform.t
-(** Raises [Invalid_argument] on an unknown node.  The input node's
+(** The node's column of the result, gathered into a fresh waveform.
+    Raises [Invalid_argument] on an unknown node.  The input node's
     waveform is the sampled input. *)
 
 val nodes : result -> Rctree.Tree.node_id list

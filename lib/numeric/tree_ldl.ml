@@ -50,19 +50,24 @@ let solve_in_place t b =
   if Array.length b <> n then invalid_arg "Tree_ldl.solve_in_place: dimension mismatch";
   let timed = Obs.enabled () in
   let t0 = if timed then Unix.gettimeofday () else 0. in
-  (* forward sweep, leaves toward the root: b <- L⁻¹ b *)
+  let parent = t.parent and l = t.l and d = t.d in
+  (* forward sweep, leaves toward the root, fused with the diagonal:
+     b <- D⁻¹ L⁻¹ b.  Children carry larger indices, so b.(i) is final
+     when row i is reached and can be scaled in the same pass. *)
   for i = n - 1 downto 0 do
-    let p = t.parent.(i) in
-    if p >= 0 then b.(p) <- b.(p) -. (t.l.(i) *. b.(i))
+    let bi = b.(i) in
+    let p = parent.(i) in
+    if p >= 0 then b.(p) <- b.(p) -. (l.(i) *. bi);
+    b.(i) <- bi /. d.(i)
   done;
-  (* diagonal: b <- D⁻¹ b *)
+  (* back sweep, root toward the leaves: b <- L⁻ᵀ b, writing 0 for any
+     result below the smallest normal float.  With |l| > 1/2 a decaying
+     tail would otherwise stick at the smallest subnormal, which costs
+     every later operation on it a microcode assist. *)
   for i = 0 to n - 1 do
-    b.(i) <- b.(i) /. t.d.(i)
-  done;
-  (* back sweep, root toward the leaves: b <- L⁻ᵀ b *)
-  for i = 0 to n - 1 do
-    let p = t.parent.(i) in
-    if p >= 0 then b.(i) <- b.(i) -. (t.l.(i) *. b.(p))
+    let p = parent.(i) in
+    let v = if p >= 0 then b.(i) -. (l.(i) *. b.(p)) else b.(i) in
+    b.(i) <- (if Float.abs v < Float.min_float then 0. else v)
   done;
   Obs.Counter.incr m_solves;
   if timed then Obs.Histogram.observe m_solve_ns ((Unix.gettimeofday () -. t0) *. 1e9)

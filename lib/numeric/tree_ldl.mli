@@ -7,8 +7,8 @@
     node has exactly one remaining neighbour (its parent), so the
     Cholesky factor has the same sparsity as the tree — {e zero}
     fill-in.  Trees are chordal, which is why such an order exists at
-    all.  Factoring is O(n) once; each solve is two O(n) triangular
-    sweeps plus a diagonal scale, with no tolerance knob and no
+    all.  Factoring is O(n) once; each solve is two O(n) sweeps (the
+    diagonal scale rides in the first), with no tolerance knob and no
     iteration count — unlike conjugate gradients, whose iterations
     grow with chain depth on stiff nets.
 
@@ -35,8 +35,21 @@ val factor : parent:int array -> diag:float array -> offdiag:float array -> t
 val size : t -> int
 
 val solve_in_place : t -> float array -> unit
-(** [solve_in_place t b] overwrites [b] with [A⁻¹ b]: one leaf-to-root
-    forward sweep, a diagonal scale, one root-to-leaf back sweep.
+(** [solve_in_place t b] overwrites [b] with [A⁻¹ b] in two passes: a
+    leaf-to-root forward sweep with the diagonal scale fused into it
+    (the same operations in the same order as a separate [D⁻¹] pass,
+    so the same bits), then one root-to-leaf back sweep.
+
+    No output entry is subnormal: the back sweep writes [0.] for every
+    result, roots included, whose magnitude is below [Float.min_float]
+    (about 2.2e-308).  Only those entries change, plus entries the back
+    sweep computes from a flushed one, which are themselves tiny (below
+    about 1e-290): a decaying tail flushes at its first subnormal
+    instead of sticking at the smallest one.  Every other entry is
+    bit-identical to the unfused, unflushed three-pass solve.  No
+    FTZ/DAZ mode flag is involved; the rest of the process keeps IEEE
+    gradual underflow.
+
     Allocation-free (when metrics are disabled).  Raises
     [Invalid_argument] on a length mismatch. *)
 

@@ -395,9 +395,9 @@ let large_tests =
           for k = 0 to steps / 2 do
             u.(k) <- float_of_int k /. float_of_int (steps / 2)
           done;
-          let trace = Array.make (steps + 1) 0. in
+          let into = Array.make (steps + 1) 0. in
           words (fun () ->
-              run ~integration:Trapezoidal ~solver:`Direct tree ~dt ~u ~record:[| (out, trace) |])
+              run ~integration:Trapezoidal ~solver:`Direct tree ~dt ~u ~record:[| out |] ~into)
         in
         List.iter
           (fun (rule, delta) ->
@@ -472,6 +472,59 @@ let large_tests =
         check_int "last" 4 (row op 5);
         check_invalid "past the end" (fun () -> row op 6);
         check_invalid "negative" (fun () -> row op (-1)));
+    Alcotest.test_case "run records sample-major and rejects a short buffer" `Quick (fun () ->
+        let tree = rc_chain ~sections:5 ~r:1. ~c:1. in
+        let out = Rctree.Tree.output_named tree "out" in
+        let samples = 4 and dt = 0.5 in
+        let u = Array.make samples 1. in
+        let run ~record ~into =
+          run ~integration:Backward_euler ~solver:`Direct tree ~dt ~u ~record ~into
+        in
+        check_invalid "into one short" (fun () ->
+            run ~record:[| out; 0 |] ~into:(Array.make ((samples * 2) - 1) 0.));
+        check_invalid "node past the end" (fun () -> run ~record:[| 6 |] ~into:(Array.make 8 0.));
+        check_invalid "negative node" (fun () -> run ~record:[| -1 |] ~into:(Array.make 8 0.));
+        (* sample k of record.(j) at k * 2 + j; the spare tail is untouched *)
+        let into = Array.make ((samples * 2) + 1) (-1.) in
+        run ~record:[| out; 0 |] ~into;
+        let ws = List.assoc out (step_response tree ~dt ~t_end:1.5 ~outputs:[ out ]) in
+        let values = Circuit.Waveform.values ws in
+        for k = 0 to samples - 1 do
+          check_bool (Printf.sprintf "out at sample %d" k) true
+            (Int64.bits_of_float into.(k * 2) = Int64.bits_of_float values.(k));
+          check_close ~eps:0. (Printf.sprintf "input at sample %d" k) 1. into.((k * 2) + 1)
+        done;
+        check_close ~eps:0. "tail" (-1.) into.(samples * 2));
+    Alcotest.test_case "non-finite 1/R or C/dt rejected, naming the node" `Quick (fun () ->
+        let contains hay needle =
+          let nl = String.length needle in
+          let rec go i =
+            i + nl <= String.length hay && (String.sub hay i nl = needle || go (i + 1))
+          in
+          go 0
+        in
+        let names_node what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument msg ->
+              check_bool (Printf.sprintf "%s names n1: %s" what msg) true
+                (contains msg "\"n1\"")
+        in
+        let one_pole ~r ~c =
+          let open Rctree.Tree.Builder in
+          let b = create () in
+          let n = add_resistor b ~parent:(input b) ~name:"n1" r in
+          add_capacitance b n c;
+          finish b
+        in
+        let tiny_r = one_pole ~r:5e-324 ~c:1e-12 and huge_c = one_pole ~r:1e3 ~c:1e308 in
+        names_node "1/R" (fun () -> operator tiny_r ~dt:5e-11);
+        names_node "C/dt" (fun () -> operator huge_c ~dt:5e-11);
+        names_node "simulate" (fun () ->
+            Circuit.Transient.simulate huge_c ~dt:5e-11 ~t_end:5e-9
+              ~input:Circuit.Transient.step_input);
+        names_node "step_response" (fun () ->
+            step_response tiny_r ~dt:5e-11 ~t_end:5e-9 ~outputs:[ 1 ]));
   ]
 
 let () =

@@ -45,6 +45,14 @@ let with_fig7_deck f =
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+(* [f] gets the path of a temporary deck holding [text] *)
+let with_deck text f =
+  let path = Filename.temp_file "bad" ".sp" in
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
 let with_netlist f =
   let path = Filename.temp_file "slice" ".net" in
   let oc = open_out path in
@@ -271,13 +279,6 @@ let tests =
             check_bool "names the limit" true (contains out "max_grid_values");
             check_bool (Printf.sprintf "fast (%.3f s)" elapsed) true (elapsed < 1.)));
     Alcotest.test_case "library Invalid_argument on deck values exits 2" `Quick (fun () ->
-        let with_deck text f =
-          let path = Filename.temp_file "bad" ".sp" in
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc;
-          Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-        in
         with_deck "VIN in 0 1\nR1 in n1 -5\nC1 n1 0 1p\n.output n1\n.end\n" (fun path ->
             let code, out = run [ "times"; path ] in
             check_int "negative resistor exit" 2 code;
@@ -292,13 +293,6 @@ let tests =
             check_bool "located" true (contains out (path ^ ": "));
             check_bool "message" true (contains out "zero resistance")));
     Alcotest.test_case "bad deck value names the card, exits 2" `Quick (fun () ->
-        let with_deck text f =
-          let path = Filename.temp_file "bad" ".sp" in
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc;
-          Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-        in
         List.iter
           (fun (card, deck) ->
             with_deck deck (fun path ->
@@ -325,6 +319,19 @@ let tests =
                 ([ "ramp"; deck; "--rise"; "0" ], "--rise must be positive");
                 ([ "ramp"; deck; "--rise=-1" ], "--rise must be positive");
               ]));
+    Alcotest.test_case "transient: non-finite 1/R or C/dt exits 2, not NaN" `Quick (fun () ->
+        List.iter
+          (fun (what, deck) ->
+            with_deck deck (fun path ->
+                let code, out = run [ "transient"; path; "--t-end"; "5e-9" ] in
+                check_int (what ^ " exit") 2 code;
+                check_bool (what ^ " located") true (contains out (path ^ ": "));
+                check_bool (what ^ " names the node") true (contains out "\"n1\"");
+                check_bool (what ^ " prints no nan") false (contains out "nan")))
+          [
+            ("R1 = 5e-324", "Vin in 0 1\nR1 in n1 5e-324\nC1 n1 0 1p\n.end\n");
+            ("C1 = 1e308", "Vin in 0 1\nR1 in n1 1k\nC1 n1 0 1e308\n.end\n");
+          ]);
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

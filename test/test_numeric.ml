@@ -513,6 +513,45 @@ let cg_tests =
 
 let tree_ldl_tests =
   let open Numeric in
+  (* the textbook factor and three-loop solve (forward, diagonal, back),
+     with no flush: the contract the library's fused sweeps are held to *)
+  let reference_solve ~parent ~diag ~offdiag b =
+    let n = Array.length diag in
+    let d = Array.copy diag and l = Array.make n 0. and x = Array.copy b in
+    for i = n - 1 downto 0 do
+      let p = parent.(i) in
+      if p >= 0 then begin
+        l.(i) <- offdiag.(i) /. d.(i);
+        d.(p) <- d.(p) -. (offdiag.(i) *. l.(i))
+      end
+    done;
+    for i = n - 1 downto 0 do
+      let p = parent.(i) in
+      if p >= 0 then x.(p) <- x.(p) -. (l.(i) *. x.(i))
+    done;
+    for i = 0 to n - 1 do
+      x.(i) <- x.(i) /. d.(i)
+    done;
+    for i = 0 to n - 1 do
+      let p = parent.(i) in
+      if p >= 0 then x.(i) <- x.(i) -. (l.(i) *. x.(p))
+    done;
+    x
+  in
+  (* parents strictly before children, -1 making a forest root (row 0
+     and about ln n others) *)
+  let random_forest st n =
+    let parent = Array.init n (fun i -> if i = 0 then -1 else Random.State.int st (i + 1) - 1) in
+    let offdiag =
+      Array.init n (fun i -> if parent.(i) = -1 then 0. else -.(0.1 +. Random.State.float st 2.))
+    in
+    (* diagonally dominant, hence SPD *)
+    let diag = Array.init n (fun i -> 0.5 +. Random.State.float st 1. +. Float.abs offdiag.(i)) in
+    Array.iteri (fun i p -> if p >= 0 then diag.(p) <- diag.(p) +. Float.abs offdiag.(i)) parent;
+    (parent, diag, offdiag)
+  in
+  let hex = Printf.sprintf "%h" in
+  let subnormal v = Float.classify_float v = FP_subnormal in
   let dense_of ~parent ~diag ~offdiag =
     let n = Array.length diag in
     Matrix.init n n (fun i j ->
@@ -538,16 +577,8 @@ let tree_ldl_tests =
     Alcotest.test_case "random forests match dense LU" `Quick (fun () ->
         let st = Random.State.make [| 23 |] in
         for trial = 1 to 10 do
-          let n = 2 + Random.State.int st 40 in
-          (* parents strictly before children; -1 makes a forest root *)
-          let parent = Array.init n (fun i -> if i = 0 then -1 else Random.State.int st (i + 1) - 1) in
-          let offdiag =
-            Array.init n (fun i ->
-                if parent.(i) = -1 then 0. else -.(0.1 +. Random.State.float st 2.))
-          in
-          (* diagonally dominant, hence SPD *)
-          let diag = Array.init n (fun i -> 0.5 +. Random.State.float st 1. +. Float.abs offdiag.(i)) in
-          Array.iteri (fun i p -> if p >= 0 then diag.(p) <- diag.(p) +. Float.abs offdiag.(i)) parent;
+          let parent, diag, offdiag = random_forest st (2 + Random.State.int st 40) in
+          let n = Array.length parent in
           let b = Array.init n (fun i -> cos (float_of_int (i + trial))) in
           let x_lu = Lu.solve (dense_of ~parent ~diag ~offdiag) b in
           let x_tree = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
@@ -604,6 +635,52 @@ let tree_ldl_tests =
             check_bool "corrupted" true (Vector.max_abs_diff clean skewed > 1e-6));
         let again = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
         check_close ~eps:0. "disarmed" 0. (Vector.max_abs_diff clean again));
+    Alcotest.test_case "no subnormal output; normal entries match the unflushed solve" `Quick
+      (fun () ->
+        (* D = 2.2 under a -1 coupling: |l| settles near 0.64, so past the
+           root's influence the back sweep decays by 0.64 per row, and
+           the unflushed solve sticks at the smallest subnormal, since
+           0.64 * 5e-324 rounds back to 5e-324 *)
+        let n = 3000 in
+        let parent = Array.init n (fun i -> i - 1) in
+        let diag = Array.make n 2.2 in
+        let offdiag = Array.init n (fun i -> if i = 0 then 0. else -1.) in
+        let b = Array.init n (fun i -> if i = 0 then 1. else 0.) in
+        let expected = reference_solve ~parent ~diag ~offdiag b in
+        let x = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
+        let count p a = Array.fold_left (fun k v -> if p v then k + 1 else k) 0 a in
+        let stuck = count (fun v -> v = Float.succ 0.) expected in
+        check_bool (Printf.sprintf "reference stuck at 5e-324 in %d rows" stuck) true (stuck > 1000);
+        Alcotest.(check int) "no subnormal output" 0 (count subnormal x);
+        Array.iteri
+          (fun i v ->
+            if Float.abs v >= Float.min_float || Float.abs x.(i) >= Float.min_float then
+              Alcotest.(check string) (Printf.sprintf "row %d" i) (hex v) (hex x.(i))
+            else check_bool (Printf.sprintf "row %d flushed" i) true (x.(i) = 0.))
+          expected);
+    Alcotest.test_case "fused sweeps are bit-identical to three loops on forests" `Quick (fun () ->
+        let st = Random.State.make [| 41 |] and roots = ref 0 in
+        for trial = 1 to 20 do
+          let parent, diag, offdiag = random_forest st (2 + Random.State.int st 300) in
+          let n = Array.length parent in
+          Array.iter (fun p -> if p = -1 then incr roots) parent;
+          let b = Array.init n (fun _ -> Random.State.float st 2. -. 1.) in
+          let expected = reference_solve ~parent ~diag ~offdiag b in
+          let x = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
+          Alcotest.(check (array string))
+            (Printf.sprintf "trial %d (n = %d)" trial n)
+            (Array.map hex expected) (Array.map hex x)
+        done;
+        check_bool (Printf.sprintf "several roots per forest (%d in 20)" !roots) true (!roots > 40));
+    Alcotest.test_case "a subnormal root result comes out 0" `Quick (fun () ->
+        (* two one-row trees: min_float / 4 is subnormal, 1 / 1 is not *)
+        let parent = [| -1; -1 |] and diag = [| 4.; 1. |] and offdiag = [| 0.; 0. |] in
+        let b = [| Float.min_float; 1. |] in
+        check_bool "reference is subnormal" true
+          (subnormal (reference_solve ~parent ~diag ~offdiag b).(0));
+        let x = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
+        Alcotest.(check string) "flushed root" (hex 0.) (hex x.(0));
+        Alcotest.(check string) "normal root" (hex 1.) (hex x.(1)));
   ]
 
 (* --- Polynomial -------------------------------------------------------- *)
