@@ -138,18 +138,29 @@ let run ?cap_floor ~integration ~solver tree ~dt ~u ~record ~into =
     (fun node ->
       if node < 0 || node > node_count op then invalid_arg "Large.run: unknown record node")
     record;
-  (* a quotient, not samples * m, which could overflow *)
-  if m > 0 && Array.length into / m < samples then
+  (* [s] whole samples per block, as many as the first block holds;
+     each block's need is at most s * m <= its length, so no product
+     here can overflow *)
+  let s =
+    if Array.length into = 0 then 0 else if m = 0 then samples else Array.length into.(0) / m
+  in
+  if s = 0 then invalid_arg "Large.run: into holds no whole sample";
+  let blocks = ((samples - 1) / s) + 1 in
+  if Array.length into < blocks then
     invalid_arg "Large.run: into shorter than samples * recorded nodes";
+  for b = 0 to blocks - 1 do
+    if Array.length into.(b) < m * min s (samples - (b * s)) then
+      invalid_arg "Large.run: into shorter than samples * recorded nodes"
+  done;
   let rows = node_count op in
   let x = ref (Array.make rows 0.) in
-  (* sample k is one contiguous row of [into]; plain loops, not
+  (* sample k is one contiguous row of its block; plain loops, not
      closures, so nothing is allocated per step *)
   let record k =
-    let x = !x and base = k * m in
+    let x = !x and block = into.(k / s) and base = k mod s * m in
     for j = 0 to m - 1 do
       let node = record.(j) in
-      into.(base + j) <- (if node = 0 then u.(k) else x.(node - 1))
+      block.(base + j) <- (if node = 0 then u.(k) else x.(node - 1))
     done
   in
   (* [advance k] moves the state from sample [k - 1] to sample [k] *)
@@ -225,7 +236,7 @@ let step_response ?cap_floor ?(solver = `Direct) tree ~dt ~t_end ~outputs =
   let m = Array.length record in
   let into = Array.make (samples * m) 0. in
   run ?cap_floor ~integration:Backward_euler ~solver tree ~dt ~u:(Array.make samples 1.) ~record
-    ~into;
+    ~into:[| into |];
   List.mapi
     (fun j node ->
       let values = Array.make samples 0. in

@@ -100,22 +100,28 @@ val run :
   dt:float ->
   u:float array ->
   record:Rctree.Tree.node_id array ->
-  into:float array ->
+  into:float array array ->
   unit
 (** The stepper.  [u.(k)] is the input at sample [k] of a grid of
     [Array.length u] samples spaced [dt] apart; every node starts
     discharged at sample 0, and [Array.length u - 1] steps follow.
 
-    [into] is one caller-owned, sample-major buffer: with
-    [m = Array.length record], sample [k] of node [record.(j)] lands at
-    [into.(k * m + j)] ([u.(k)] for the driven input), so each step
-    writes one contiguous row of [m] values.  Entries past
-    [Array.length u * m] are left alone.  Apart from setup, the
-    [`Direct] path allocates nothing per step.  Raises
-    [Invalid_argument] on an empty [u], an unknown node in [record], an
-    [into] shorter than [Array.length u * m], or an operator that
-    {!operator} rejects; the grid itself is the caller's to cap with
-    {!check_grid}. *)
+    [into] is the caller-owned, sample-major record, cut into blocks
+    of whole samples.  With [m = Array.length record] and
+    [s = Array.length into.(0) / m] samples per block, sample [k] of
+    node [record.(j)] lands at [into.(k / s).((k mod s) * m + j)]
+    ([u.(k)] for the driven input), so each step writes one contiguous
+    row of [m] values.  A single block is the flat layout [k * m + j].
+    A long record is better cut into blocks: one buffer past glibc's
+    32 MiB mmap ceiling is mapped, zero-filled and unmapped afresh on
+    every call.  Entries past the last sample are left alone.
+
+    Apart from setup, the [`Direct] path allocates nothing per step.
+    Raises [Invalid_argument] on an empty [u], an unknown node in
+    [record], an [into] whose first block holds no whole sample or
+    whose blocks hold fewer than [Array.length u] samples, or an
+    operator that {!operator} rejects; the grid itself is the caller's
+    to cap with {!check_grid}. *)
 
 val step_response :
   ?cap_floor:float ->

@@ -7,8 +7,8 @@
     against {!Exact} in the suite.
 
     {!simulate} is a thin caller of the one stepper, {!Large.run}: it
-    samples the input on its time grid and records every node into one
-    sample-major buffer, which the abstract {!result} keeps as it is;
+    samples the input on its time grid and records every node into a
+    sample-major record, which the abstract {!result} keeps as it is;
     {!waveform} and {!final_voltages} read from it on demand.  The
     [solver] selector is {!Large.solver}: the default [`Direct] factors
     the tree-structured iteration matrix once with the zero-fill-in
@@ -24,9 +24,10 @@ type integration = Large.integration = Backward_euler | Trapezoidal
 type solver = Large.solver
 
 type result
-(** The time grid plus one flat sample-major buffer holding every
-    node's voltage at every sample (sample [k] of node [i] at
-    [k * node_count + i]), one row per step. *)
+(** The time grid plus a sample-major record of every node's voltage
+    at every sample: one contiguous row per step, indexed by node id,
+    rows grouped into blocks of at most 2{^20} floats (one row when a
+    row alone is larger). *)
 
 val simulate :
   ?integration:integration ->

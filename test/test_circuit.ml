@@ -397,7 +397,8 @@ let large_tests =
           done;
           let into = Array.make (steps + 1) 0. in
           words (fun () ->
-              run ~integration:Trapezoidal ~solver:`Direct tree ~dt ~u ~record:[| out |] ~into)
+              run ~integration:Trapezoidal ~solver:`Direct tree ~dt ~u ~record:[| out |]
+                ~into:[| into |])
         in
         List.iter
           (fun (rule, delta) ->
@@ -480,21 +481,40 @@ let large_tests =
         let run ~record ~into =
           run ~integration:Backward_euler ~solver:`Direct tree ~dt ~u ~record ~into
         in
+        let flat n = Array.make n (-1.) in
         check_invalid "into one short" (fun () ->
-            run ~record:[| out; 0 |] ~into:(Array.make ((samples * 2) - 1) 0.));
-        check_invalid "node past the end" (fun () -> run ~record:[| 6 |] ~into:(Array.make 8 0.));
-        check_invalid "negative node" (fun () -> run ~record:[| -1 |] ~into:(Array.make 8 0.));
-        (* sample k of record.(j) at k * 2 + j; the spare tail is untouched *)
-        let into = Array.make ((samples * 2) + 1) (-1.) in
-        run ~record:[| out; 0 |] ~into;
+            run ~record:[| out; 0 |] ~into:[| flat ((samples * 2) - 1) |]);
+        check_invalid "no block" (fun () -> run ~record:[| out |] ~into:[||]);
+        check_invalid "first block under a sample" (fun () ->
+            run ~record:[| out; 0 |] ~into:[| flat 1; flat 8 |]);
+        check_invalid "blocks of 3 samples, one block" (fun () ->
+            run ~record:[| out; 0 |] ~into:[| flat 6 |]);
+        check_invalid "blocks of 3 samples, last block short" (fun () ->
+            run ~record:[| out; 0 |] ~into:[| flat 6; flat 1 |]);
+        check_invalid "node past the end" (fun () -> run ~record:[| 6 |] ~into:[| flat 8 |]);
+        check_invalid "negative node" (fun () -> run ~record:[| -1 |] ~into:[| flat 8 |]);
         let ws = List.assoc out (step_response tree ~dt ~t_end:1.5 ~outputs:[ out ]) in
         let values = Circuit.Waveform.values ws in
-        for k = 0 to samples - 1 do
-          check_bool (Printf.sprintf "out at sample %d" k) true
-            (Int64.bits_of_float into.(k * 2) = Int64.bits_of_float values.(k));
-          check_close ~eps:0. (Printf.sprintf "input at sample %d" k) 1. into.((k * 2) + 1)
-        done;
-        check_close ~eps:0. "tail" (-1.) into.(samples * 2));
+        let expect name at =
+          for k = 0 to samples - 1 do
+            check_bool (Printf.sprintf "%s: out at sample %d" name k) true
+              (Int64.bits_of_float (at k 0) = Int64.bits_of_float values.(k));
+            check_close ~eps:0. (Printf.sprintf "%s: input at sample %d" name k) 1. (at k 1)
+          done
+        in
+        (* one block: sample k of record.(j) at k * 2 + j; the spare
+           tail is untouched *)
+        let into = flat ((samples * 2) + 1) in
+        run ~record:[| out; 0 |] ~into:[| into |];
+        expect "flat" (fun k j -> into.((k * 2) + j));
+        check_close ~eps:0. "tail" (-1.) into.(samples * 2);
+        (* a first block of 7 floats holds 3 whole samples; sample 3
+           opens the second block *)
+        let into = [| flat 7; flat 3 |] in
+        run ~record:[| out; 0 |] ~into;
+        expect "blocked" (fun k j -> into.(k / 3).((k mod 3 * 2) + j));
+        check_close ~eps:0. "first block tail" (-1.) into.(0).(6);
+        check_close ~eps:0. "last block tail" (-1.) into.(1).(2));
     Alcotest.test_case "non-finite 1/R or C/dt rejected, naming the node" `Quick (fun () ->
         let contains hay needle =
           let nl = String.length needle in
@@ -525,6 +545,31 @@ let large_tests =
               ~input:Circuit.Transient.step_input);
         names_node "step_response" (fun () ->
             step_response tiny_r ~dt:5e-11 ~t_end:5e-9 ~outputs:[ 1 ]));
+    Alcotest.test_case "simulate's record spans blocks and matches step_response" `Quick
+      (fun () ->
+        (* 2001 nodes x 601 samples is past one 2^20-float block *)
+        let tree = rc_chain ~sections:2000 ~r:1. ~c:1. in
+        let dt = 0.5 and t_end = 300. in
+        let r =
+          Circuit.Transient.simulate ~integration:Backward_euler tree ~dt ~t_end
+            ~input:Circuit.Transient.step_input
+        in
+        let outputs = [ 1; 2; 1000; 2000 ] in
+        let bits w = Array.map Int64.bits_of_float (Circuit.Waveform.values w) in
+        List.iter
+          (fun (node, w) ->
+            let w' = Circuit.Transient.waveform r ~node in
+            check_int (Printf.sprintf "node %d samples" node) 601 (Circuit.Waveform.length w');
+            check_bool (Printf.sprintf "node %d values" node) true (bits w = bits w'))
+          (step_response tree ~dt ~t_end ~outputs);
+        let final = Circuit.Transient.final_voltages r in
+        check_int "final voltages" 2001 (List.length final);
+        List.iter
+          (fun node ->
+            let v = Circuit.Waveform.values (Circuit.Transient.waveform r ~node) in
+            check_bool (Printf.sprintf "node %d final" node) true
+              (Int64.bits_of_float (List.assoc node final) = Int64.bits_of_float v.(600)))
+          outputs);
   ]
 
 let () =
