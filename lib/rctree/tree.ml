@@ -42,7 +42,11 @@ module Builder = struct
     mutable names : string array;
     mutable count : int;
     mutable outs : (string * node_id) list; (* reverse marking order *)
+    mutable seen : (string * node_id, unit) Hashtbl.t option;
+        (* the pairs in [outs], once there are more than [scan_limit] *)
   }
+
+  let scan_limit = 16
 
   let create ?(name = "rc-tree") () =
     let size = 8 in
@@ -58,6 +62,7 @@ module Builder = struct
       names;
       count = 1;
       outs = [];
+      seen = None;
     }
 
   let input (_ : t) = 0
@@ -120,8 +125,22 @@ module Builder = struct
   let mark_output b ?label id =
     check_node b id "mark_output";
     let label = match label with Some l -> l | None -> name_in b.names id in
-    if not (List.exists (fun (l, n) -> l = label && n = id) b.outs) then
-      b.outs <- (label, id) :: b.outs
+    let key = (label, id) in
+    let marked =
+      match b.seen with
+      | Some seen -> Hashtbl.mem seen key
+      | None -> List.exists (fun (l, n) -> n = id && String.equal l label) b.outs
+    in
+    if not marked then begin
+      b.outs <- key :: b.outs;
+      match b.seen with
+      | Some seen -> Hashtbl.add seen key ()
+      | None when List.compare_length_with b.outs scan_limit > 0 ->
+          let seen = Hashtbl.create (4 * scan_limit) in
+          List.iter (fun k -> Hashtbl.add seen k ()) b.outs;
+          b.seen <- Some seen
+      | None -> ()
+    end
 
   (* copies, so the builder stays usable; then children in CSR form by
      one counting pass in ascending id *)

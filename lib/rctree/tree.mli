@@ -52,8 +52,9 @@ module Builder : sig
 
   val mark_output : t -> ?label:string -> node_id -> unit
   (** Marks a node as an output.  The default label is the node name.
-      Idempotent per (label, node) pair; a node may carry several
-      labels (several logical sinks landing on one electrical node). *)
+      Idempotent per (label, node) pair, in O(1) amortised time; a node
+      may carry several labels (several logical sinks landing on one
+      electrical node).  Outputs keep their first-marking order. *)
 
   val finish : t -> tree
   (** Freeze.  The builder stays usable; later additions do not affect

@@ -27,66 +27,51 @@ let format_si ?(digits = 4) x =
 
 let format_quantity ?digits ~unit_symbol x = format_si ?digits x ^ unit_symbol
 
-let suffix_scale s =
-  match String.lowercase_ascii s with
-  | "" -> Some 1.
-  | "f" -> Some 1e-15
-  | "p" -> Some 1e-12
-  | "n" -> Some 1e-9
-  | "u" -> Some 1e-6
-  | "m" -> Some 1e-3
-  | "k" -> Some 1e3
-  | "meg" -> Some 1e6
-  | "g" -> Some 1e9
-  | "t" -> Some 1e12
-  | _ -> None
+(* the scale of the suffix [s.[i .. n - 1]]: "meg" beats "m", uppercase
+   "M" is SI mega while lowercase "m" stays SPICE milli, and any other
+   letters after a prefix, or a bare unit like "V", are ignored *)
+let suffix_scale s i n =
+  let lower k = Char.lowercase_ascii s.[k] in
+  if n - i >= 3 && lower i = 'm' && lower (i + 1) = 'e' && lower (i + 2) = 'g' then 1e6
+  else if s.[i] = 'M' then 1e6
+  else
+    match lower i with
+    | 'f' -> 1e-15
+    | 'p' -> 1e-12
+    | 'n' -> 1e-9
+    | 'u' -> 1e-6
+    | 'm' -> 1e-3
+    | 'k' -> 1e3
+    | 'g' -> 1e9
+    | 't' -> 1e12
+    | _ -> 1.
 
-(* uppercase "M" is SI mega; lowercase "m" stays SPICE milli *)
+let space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+let rec skip_space s i = if i < String.length s && space s.[i] then skip_space s (i + 1) else i
+let rec drop_space s a j = if j > a && space s.[j - 1] then drop_space s a (j - 1) else j
+let exponent_follows s i n = i < n && match s.[i] with '0' .. '9' | '+' | '-' -> true | _ -> false
+
+(* the end of the numeric prefix of [s.[i .. n - 1]]; 'e'/'E' counts
+   only when a digit or sign follows *)
+let rec num_end s i n =
+  if i >= n then i
+  else
+    match s.[i] with
+    | '0' .. '9' | '.' | '-' | '+' -> num_end s (i + 1) n
+    | ('e' | 'E') when exponent_follows s (i + 1) n -> num_end s (i + 2) n
+    | _ -> i
+
+(* reads the trimmed token in place: the only allocation besides the
+   result is the numeric prefix, when it is not the whole string *)
 let parse_si s =
-  let s = String.trim s in
-  let n = String.length s in
-  if n = 0 then None
-  else begin
-    (* split leading numeric part from trailing letters *)
-    let is_num_char c =
-      match c with '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false
-    in
-    (* careful: 'e'/'E' only counts as numeric when followed by digit/sign *)
-    let rec num_end i =
-      if i >= n then i
-      else begin
-        let c = s.[i] in
-        if c = 'e' || c = 'E' then
-          if i + 1 < n && (match s.[i + 1] with '0' .. '9' | '+' | '-' -> true | _ -> false) then
-            num_end (i + 2)
-          else i
-        else if is_num_char c then num_end (i + 1)
-        else i
-      end
-    in
-    let split = num_end 0 in
-    if split = 0 then None
-    else begin
-      let number = String.sub s 0 split in
-      let rest = String.sub s split (n - split) in
-      match float_of_string_opt number with
-      | None -> None
-      | Some v ->
-          (* SPICE convention: "meg" beats "m"; any other trailing unit
-             letters after a recognized prefix are ignored *)
-          let rest_l = String.lowercase_ascii rest in
-          let scale =
-            if String.length rest_l >= 3 && String.sub rest_l 0 3 = "meg" then Some 1e6
-            else if rest_l = "" then Some 1.
-            else if rest.[0] = 'M' then Some 1e6 (* SI mega, distinct from milli *)
-            else
-              match suffix_scale (String.sub rest_l 0 1) with
-              | Some sc -> Some sc
-              | None -> if rest_l <> "" then Some 1. (* bare unit like "F" *) else None
-          in
-          Option.map (fun sc -> v *. sc) scale
-    end
-  end
+  let a = skip_space s 0 in
+  let n = drop_space s a (String.length s) in
+  let split = num_end s a n in
+  if split = a then None
+  else
+    let whole = a = 0 && split = String.length s in
+    let v = float_of_string_opt (if whole then s else String.sub s a (split - a)) in
+    if split = n then v else Option.map (fun v -> v *. suffix_scale s split n) v
 
 let ohms_per_square ~sheet ~squares =
   if sheet < 0. || squares < 0. then invalid_arg "Units.ohms_per_square: negative argument";

@@ -10,7 +10,11 @@ let card_name = function
   | Resistor { name; _ } | Capacitor { name; _ } | Line { name; _ } | Source { name; _ } -> name
 
 let is_ground n =
-  match String.lowercase_ascii n with "0" | "gnd" -> true | _ -> false
+  String.equal n "0"
+  || String.length n = 3
+     && Char.lowercase_ascii n.[0] = 'g'
+     && Char.lowercase_ascii n.[1] = 'n'
+     && Char.lowercase_ascii n.[2] = 'd'
 
 let make ?(title = "") ?(outputs = []) cards = { title; cards; outputs }
 

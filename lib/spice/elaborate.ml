@@ -28,110 +28,123 @@ exception Elab_error of error
 
 let fail e = raise (Elab_error e)
 
-(* series edge extracted from an R or U card *)
-type edge = { e_name : string; e_n1 : string; e_n2 : string; e_elem : float * float }
-
 let bad_value x = x < 0. || not (Float.is_finite x)
 
+(* the terminal that is not ground, when exactly one is *)
+let off_ground error n1 n2 =
+  match (Deck.is_ground n1, Deck.is_ground n2) with
+  | true, false -> n2
+  | false, true -> n1
+  | _ -> fail error
+
+(* Node names are interned to ints once, in order of first mention with
+   the input first, and R and U cards become flat edge arrays.  A BFS
+   from the input over a CSR adjacency, each node's edges newest card
+   first, then grows the tree. *)
 let to_tree_internal deck =
-  let sources =
-    List.filter_map
-      (function
-        | Deck.Source { name; n1; n2 } -> Some (name, n1, n2)
-        | Deck.Resistor _ | Deck.Capacitor _ | Deck.Line _ -> None)
-      deck.Deck.cards
-  in
+  let module B = Rctree.Tree.Builder in
   let input_node =
-    match sources with
+    let source = function Deck.Source s -> Some (s.name, s.n1, s.n2) | _ -> None in
+    match List.filter_map source deck.Deck.cards with
     | [] -> fail No_source
-    | [ (name, n1, n2) ] ->
-        if Deck.is_ground n1 && not (Deck.is_ground n2) then n2
-        else if Deck.is_ground n2 && not (Deck.is_ground n1) then n1
-        else fail (Source_not_grounded name)
+    | [ (name, n1, n2) ] -> off_ground (Source_not_grounded name) n1 n2
     | many -> fail (Multiple_sources (List.map (fun (name, _, _) -> name) many))
   in
-  let edges = ref [] and caps = Hashtbl.create 16 in
+  let size = (2 * List.length deck.Deck.cards) + 1 in
+  let ids = Hashtbl.create size and names = Array.make size "" in
+  let intern name =
+    try Hashtbl.find ids name
+    with Not_found ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids name i;
+      names.(i) <- name;
+      i
+  in
+  ignore (intern input_node);
+  (* edge k joins ends.(2k) and ends.(2k + 1) *)
+  let ends = Array.make size 0 and elements = Array.make size ("", 0., 0.) and edges = ref 0 in
+  let caps = Array.make size 0. in
+  let edge name n1 n2 r c =
+    if Deck.is_ground n1 || Deck.is_ground n2 then fail (Element_to_ground name);
+    ends.(2 * !edges) <- intern n1;
+    ends.((2 * !edges) + 1) <- intern n2;
+    elements.(!edges) <- (name, r, c);
+    incr edges
+  in
   List.iter
-    (fun card ->
-      match card with
+    (function
       | Deck.Source _ -> ()
       | Deck.Resistor { name; n1; n2; value } ->
           if bad_value value then fail (Bad_value ("R" ^ name));
-          if Deck.is_ground n1 || Deck.is_ground n2 then fail (Element_to_ground name);
-          edges := { e_name = name; e_n1 = n1; e_n2 = n2; e_elem = (value, 0.) } :: !edges
+          edge name n1 n2 value 0.
       | Deck.Line { name; n1; n2; resistance; capacitance } ->
           if bad_value resistance || bad_value capacitance then fail (Bad_value ("U" ^ name));
-          if Deck.is_ground n1 || Deck.is_ground n2 then fail (Element_to_ground name);
-          edges := { e_name = name; e_n1 = n1; e_n2 = n2; e_elem = (resistance, capacitance) } :: !edges
+          edge name n1 n2 resistance capacitance
       | Deck.Capacitor { name; n1; n2; value } ->
           if bad_value value then fail (Bad_value ("C" ^ name));
-          let node =
-            if Deck.is_ground n1 && not (Deck.is_ground n2) then n2
-            else if Deck.is_ground n2 && not (Deck.is_ground n1) then n1
-            else fail (Capacitor_not_grounded name)
-          in
-          let prev = Option.value (Hashtbl.find_opt caps node) ~default:0. in
-          Hashtbl.replace caps node (prev +. value))
+          let i = intern (off_ground (Capacitor_not_grounded name) n1 n2) in
+          caps.(i) <- caps.(i) +. value)
     deck.Deck.cards;
-  let edges = Array.of_list (List.rev !edges) in
-  let adjacency = Hashtbl.create 16 in
-  Array.iteri
-    (fun i e ->
-      Hashtbl.add adjacency e.e_n1 i;
-      Hashtbl.add adjacency e.e_n2 i)
-    edges;
-  let b = Rctree.Tree.Builder.create ~name:deck.Deck.title () in
-  let node_ids = Hashtbl.create 16 in
-  Hashtbl.replace node_ids input_node (Rctree.Tree.Builder.input b);
-  let used = Array.make (Array.length edges) false in
-  let queue = Queue.create () in
-  Queue.add input_node queue;
-  while not (Queue.is_empty queue) do
-    let here = Queue.pop queue in
-    let here_id = Hashtbl.find node_ids here in
-    List.iter
-      (fun i ->
-        if not used.(i) then begin
-          used.(i) <- true;
-          let e = edges.(i) in
-          let far = if e.e_n1 = here then e.e_n2 else e.e_n1 in
-          if Hashtbl.mem node_ids far then fail (Cycle e.e_name)
-          else begin
-            let r, c = e.e_elem in
-            let id = Rctree.Tree.Builder.add_line b ~parent:here_id ~name:far r c in
-            Hashtbl.replace node_ids far id;
-            Queue.add far queue
-          end
-        end)
-      (Hashtbl.find_all adjacency here)
+  let n = Hashtbl.length ids and m = !edges in
+  let start = Array.make (n + 1) 0 and adjacent = Array.make (2 * m) 0 in
+  for j = 0 to (2 * m) - 1 do
+    start.(ends.(j) + 1) <- start.(ends.(j) + 1) + 1
   done;
-  let mentioned = Hashtbl.create 16 in
-  Array.iter
-    (fun e ->
-      Hashtbl.replace mentioned e.e_n1 ();
-      Hashtbl.replace mentioned e.e_n2 ())
-    edges;
-  Hashtbl.iter (fun node _ -> Hashtbl.replace mentioned node ()) caps;
-  let missing =
-    Hashtbl.fold (fun node () acc -> if Hashtbl.mem node_ids node then acc else node :: acc) mentioned []
-  in
-  if missing <> [] then fail (Disconnected (List.sort String.compare missing));
-  Hashtbl.iter (fun node c -> Rctree.Tree.Builder.add_capacitance b (Hashtbl.find node_ids node) c) caps;
+  for i = 1 to n do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let next = Array.sub start 0 n in
+  for j = (2 * m) - 1 downto 0 do
+    adjacent.(next.(ends.(j))) <- j / 2;
+    next.(ends.(j)) <- next.(ends.(j)) + 1
+  done;
+  let b = B.create ~name:deck.Deck.title () in
+  (* tree id per interned node, -1 until reached; a zero-resistance line
+     folds its far node into the near one, so two nodes may share an id *)
+  let tree_id = Array.make n (-1) and queue = Array.make n 0 and used = Bytes.make m '\000' in
+  let has_child = Bytes.make (m + 1) '\000' and tree_nodes = ref 1 in
+  let head = ref 0 and tail = ref 1 in
+  tree_id.(0) <- B.input b;
+  while !head < !tail do
+    let here = queue.(!head) in
+    incr head;
+    let parent = tree_id.(here) in
+    for j = start.(here) to start.(here + 1) - 1 do
+      let k = adjacent.(j) in
+      if Bytes.get used k = '\000' then begin
+        Bytes.set used k '\001';
+        let far = if ends.(2 * k) = here then ends.((2 * k) + 1) else ends.(2 * k) in
+        let name, r, c = elements.(k) in
+        if tree_id.(far) >= 0 then fail (Cycle name);
+        tree_id.(far) <- B.add_line b ~parent ~name:names.(far) r c;
+        if tree_id.(far) <> parent then begin
+          Bytes.set has_child parent '\001';
+          incr tree_nodes
+        end;
+        queue.(!tail) <- far;
+        incr tail
+      end
+    done
+  done;
+  let missing = ref [] in
+  Array.iteri (fun i id -> if id < 0 then missing := names.(i) :: !missing) tree_id;
+  if !missing <> [] then fail (Disconnected (List.sort String.compare !missing));
+  (* nodes without a C card add 0, which changes no bit *)
+  Array.iteri (fun i id -> B.add_capacitance b id caps.(i)) tree_id;
   (match deck.Deck.outputs with
   | [] ->
       (* default: every leaf is an output *)
-      let snapshot = Rctree.Tree.Builder.finish b in
-      Rctree.Tree.iter_nodes snapshot ~f:(fun id ->
-          if Rctree.Tree.children snapshot id = [] && id <> Rctree.Tree.input snapshot then
-            Rctree.Tree.Builder.mark_output b id)
+      for id = 1 to !tree_nodes - 1 do
+        if Bytes.get has_child id = '\000' then B.mark_output b id
+      done
   | outs ->
       List.iter
         (fun node ->
-          match Hashtbl.find_opt node_ids node with
-          | Some id -> Rctree.Tree.Builder.mark_output b ~label:node id
-          | None -> fail (Unknown_output node))
+          match Hashtbl.find ids node with
+          | i -> B.mark_output b ~label:node tree_id.(i)
+          | exception Not_found -> fail (Unknown_output node))
         outs);
-  Rctree.Tree.Builder.finish b
+  B.finish b
 
 let m_elaborations = Obs.Counter.make "spice.elaborations"
 let m_tree_nodes = Obs.Histogram.make "spice.elaborated_tree_nodes"

@@ -7,18 +7,21 @@
 
 type error = { line : int; column : int; message : string }
 (** Parsing never raises: every malformed deck comes back as [Error].
-    [line] is 1-based; [column] is the 1-based position of the
-    offending token within its logical line, or [0] when no single
-    token is to blame (wrong card shape, deck-level problems, or a
-    line reassembled from [+] continuations). *)
+    [line] is 1-based, the first physical line of the logical line;
+    [column] is the 1-based position, within the logical line (trimmed,
+    each [+] continuation joined by one space in place of its [+]), of
+    the first token equal to the offending one, or [0] when no single
+    token is to blame (deck-level problems such as content after
+    [.end], an orphan continuation or a bad [.include]). *)
 
 val parse_string : string -> (Deck.t, error) result
-
-val parse_lines : string list -> (Deck.t, error) result
+(** Reads the deck in one scan over its bytes.  An [.include] is an
+    error here: it needs the base directory that {!parse_file} has. *)
 
 val parse_file : ?max_include_depth:int -> string -> (Deck.t, error) result
-(** Raises [Sys_error] when a file cannot be read.  Errors inside an
-    included file carry that file's line number and name its path in
-    the message. *)
+(** Reads the whole file, then scans it as {!parse_string} does.  Raises
+    [Sys_error] when a file cannot be read.  Errors inside an included
+    file carry that file's line number and name its path in the
+    message. *)
 
 val error_to_string : error -> string

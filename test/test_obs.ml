@@ -252,6 +252,22 @@ let solver_stats_tests =
               Option.value (List.assoc_opt name (Obs.counters ())) ~default:0
             in
             check_int "decomposition counted" 1 (counter "eigen.decompositions")));
+    Alcotest.test_case "string and file parses share one span" `Quick (fun () ->
+        with_metrics (fun () ->
+            let text = "VIN in 0\nR1 in a 15\nC1 a 0 2\n.end\n" in
+            ignore (Spice.Parser.parse_string text);
+            ignore (Spice.Parser.parse_string "VIN in 0\nR1 in a bogus\n");
+            check_int "string parses" 2 (Obs.Span.calls "spice.parse");
+            let path = Filename.temp_file "obs" ".sp" in
+            Out_channel.with_open_bin path (fun oc -> output_string oc text);
+            ignore (Spice.Parser.parse_file path);
+            Sys.remove path;
+            check_int "one more for the file" 3 (Obs.Span.calls "spice.parse");
+            let counter name =
+              Option.value (List.assoc_opt name (Obs.counters ())) ~default:0
+            in
+            check_int "decks parsed" 2 (counter "spice.decks_parsed");
+            check_int "parse errors" 1 (counter "spice.parse_errors")));
   ]
 
 let () =

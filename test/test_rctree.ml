@@ -48,6 +48,27 @@ let units_tests =
     Alcotest.test_case "parse garbage" `Quick (fun () ->
         check_bool "none" true (parse_si "xyz" = None);
         check_bool "none" true (parse_si "" = None));
+    Alcotest.test_case "parse table is bit-exact" `Quick (fun () ->
+        (* "1F" is femto, a suffix letter after "e" that does not start
+           an exponent is a bare unit, and "1e400" parses to infinity:
+           callers decide what to do with non-finite values *)
+        List.iter
+          (fun (s, expected) ->
+            Alcotest.(check (option int64))
+              (Printf.sprintf "%S" s)
+              (Option.map Int64.bits_of_float expected)
+              (Option.map Int64.bits_of_float (parse_si s)))
+          [
+            ("1k", Some 0x1.f4p+9); ("2.5meg", Some 0x1.312dp+21); ("1M", Some 0x1.e848p+19);
+            ("1MEG", Some 0x1.e848p+19); ("1m", Some 0x1.0624dd2f1a9fcp-10);
+            ("1mil", Some 0x1.0624dd2f1a9fcp-10); ("1F", Some 0x1.203af9ee75616p-50);
+            ("10pF", Some 0x1.5fd7fe1796495p-37); ("9n", Some 0x1.353cd652bb168p-27);
+            ("1x", Some 1.); ("1e", Some 1.); ("1e5e", Some 0x1.86ap+16); ("1_0", Some 1.);
+            ("1.5e-3k", Some 1.5); ("0x10", Some 0.); ("+2", Some 2.); ("-5", Some (-5.));
+            ("1e+", None); ("-", None); (".", None); ("1.2.3", None); ("nan", None);
+            ("inf", None); ("", None); ("  ", None); ("1e400", Some infinity);
+            ("5e-324", Some 0x0.0000000000001p-1022); (" 1k ", Some 0x1.f4p+9);
+          ]);
     Alcotest.test_case "ohms per square" `Quick (fun () ->
         check_float "r" 180. (ohms_per_square ~sheet:30. ~squares:6.));
     Alcotest.test_case "ohms per square negative raises" `Quick (fun () ->
@@ -271,6 +292,33 @@ let tree_tests =
         check_bool "a resistor" true (element t a = Some (Rctree.Element.resistor 15.));
         check_bool "e line" true
           (element t e = Some (Rctree.Element.line ~resistance:3. ~capacitance:4.)));
+    Alcotest.test_case "outputs keep first-marking order, once each" `Quick (fun () ->
+        (* past sixteen outputs the duplicate check changes method; the
+           answer must not *)
+        List.iter
+          (fun n ->
+            let b = Builder.create () in
+            let ids = Array.init n (fun _ -> Builder.add_resistor b ~parent:(Builder.input b) 1.) in
+            let marked = ref [] in
+            let mark ?label id ~fresh =
+              Builder.mark_output b ?label id;
+              if fresh then marked := (Option.value label ~default:"n1", id) :: !marked
+            in
+            Array.iteri
+              (fun i id ->
+                let label = Printf.sprintf "o%d" i in
+                mark ~label id ~fresh:true;
+                mark ~label:"shared" ids.(0) ~fresh:(i = 0);
+                mark ~label id ~fresh:false)
+              ids;
+            (* a second label on a node, and a label reused on another node *)
+            mark ~label:"o1" ids.(0) ~fresh:true;
+            mark ~label:"o0" ids.(n - 1) ~fresh:(n > 1);
+            mark ids.(0) ~fresh:true;
+            mark ids.(0) ~fresh:false;
+            Alcotest.(check (list (pair string int)))
+              (Printf.sprintf "%d outputs" n) (List.rev !marked) (outputs (Builder.finish b)))
+          [ 1; 3; 40 ]);
     Alcotest.test_case "capacitance accumulates" `Quick (fun () ->
         let b = Builder.create () in
         let n = Builder.add_resistor b ~parent:(Builder.input b) 1. in

@@ -257,6 +257,148 @@ let include_tests =
         check_int "column" 1 e.Spice.Parser.column);
   ]
 
+(* Behaviour of the front end pinned exactly: error line, column and
+   message, and the tree elaboration builds (node order, parents,
+   values, capacitance bits, outputs). *)
+
+let render_error s =
+  match Spice.Parser.parse_string s with
+  | Ok _ -> "ok"
+  | Error { Spice.Parser.line; column; message } -> Printf.sprintf "%d:%d:%s" line column message
+
+let render_tree t =
+  let b = Buffer.create 256 in
+  Rctree.Tree.iter_nodes t ~f:(fun id ->
+      Printf.bprintf b "%d %s parent=%s c=%h elem=%s\n" id (Rctree.Tree.node_name t id)
+        (match Rctree.Tree.parent t id with None -> "-" | Some p -> string_of_int p)
+        (Rctree.Tree.capacitance t id)
+        (match Rctree.Tree.element t id with
+        | None -> "none"
+        | Some e -> Format.asprintf "%a" Rctree.Element.pp e));
+  List.iter (fun (l, id) -> Printf.bprintf b "out %s=%d\n" l id) (Rctree.Tree.outputs t);
+  Buffer.contents b
+
+let render_elab s =
+  match Spice.Elaborate.to_tree (parse_ok s) with
+  | Ok t -> render_tree t
+  | Error e -> Spice.Elaborate.error_to_string e
+
+let pinned_tests =
+  [
+    Alcotest.test_case "parse errors: line, column, message" `Quick (fun () ->
+        List.iter
+          (fun (text, expected) -> check_string (Printf.sprintf "%S" text) expected (render_error text))
+          [
+            (* columns count within the trimmed logical line *)
+            ("VIN in 0\n   R1 in a bogus\n", {|2:9:bad resistance value "bogus"|});
+            ("VIN in 0\n\tR1\tin  a\tbogus\n", {|2:10:bad resistance value "bogus"|});
+            ("VIN in 0\nR1 in a bogus ; comment 1\n", {|2:9:bad resistance value "bogus"|});
+            ("VIN in 0\nR1 in a 1 $ bogus\nR2 a b bogus$x\n", {|3:8:bad resistance value "bogus"|});
+            (* a continuation joins with one space in place of its '+' *)
+            ("VIN in 0\nR1 in\n+ a bogus\n", {|2:10:bad resistance value "bogus"|});
+            ("VIN in 0\nR1 in a\n+ bogus\n", {|2:10:bad resistance value "bogus"|});
+            ("+ R1 in a 1\n", "1:0:continuation line with nothing to continue");
+            ("  \n* c\n  + R1 in a 1\n", "3:0:continuation line with nothing to continue");
+            ("VIN in 0\r\nR1 in a 1k\r\nR2 a b bogus\r\n", {|3:8:bad resistance value "bogus"|});
+            ("VIN in 0\n.end\n\n* c\nR1 in a 1\n", "5:0:content after .end");
+            ("VIN in 0\n.END\n+ R1 in a 1\n", "ok");
+            ("VIN in 0\n.probe x\n", {|2:1:unknown directive ".probe"|});
+            ("VIN in 0\n  .Probe x\n", {|2:1:unknown directive ".probe"|});
+            ("VIN in 0\nR1 in a\n", {|2:1:wrong argument count for "R1"|});
+            ("VIN in 0\n  c1 a 0 1 2\n", {|2:1:wrong argument count for "c1"|});
+            ("VIN in 0\nU1 a b 1\n", {|2:1:wrong argument count for "U1"|});
+            ("VIN in 0\nV2\n", {|2:1:wrong argument count for "V2"|});
+            (* a U card's capacitance is read before its resistance *)
+            ("VIN in 0\nU1 a b x y\n", {|2:10:bad capacitance value "y"|});
+            (* the column is that of the first token equal to the culprit *)
+            ("VIN in 0\nR1 a a a\n", {|2:4:bad resistance value "a"|});
+            ("VIN in 0\nR1 in bogus bogus\n", {|2:7:bad resistance value "bogus"|});
+            ("VIN in 0\nR1 in a 1e400\n", {|2:9:bad resistance value "1e400"|});
+            ("VIN in 0\n.output\n", "2:0:.output needs at least one node");
+            ("VIN in 0\n.include a b\n", "2:0:.include needs exactly one path");
+            ("VIN in 0\n.include \"x.sp\"\n", "2:0:.include needs a base directory (use parse_file)");
+            ("VIN in 0\nX1 a b 1\n", {|2:1:unknown card "X1"|});
+            ("VIN in 0\nR1 in a 1\nQ\n", {|3:1:unknown card "Q"|});
+            (* only ' ' and '\t' separate tokens *)
+            ("VIN in 0\nR1 in a 1\n\011R2 a b 1\n", {|3:1:unknown card "\011R2"|});
+            ("VIN in 0\nR1 in\ra 1\n", {|2:1:wrong argument count for "R1"|});
+          ]);
+    Alcotest.test_case "parsed decks: title, cards, outputs" `Quick (fun () ->
+        List.iter
+          (fun (text, (title, cards, outputs)) ->
+            let deck = parse_ok text in
+            check_string (Printf.sprintf "title of %S" text) title deck.Spice.Deck.title;
+            check_int (Printf.sprintf "cards of %S" text) cards (List.length deck.Spice.Deck.cards);
+            Alcotest.(check (list string)) (Printf.sprintf "outputs of %S" text) outputs
+              deck.Spice.Deck.outputs)
+          [
+            ("VIN in 0\nR1 in a 1\n.output a ; b\n.title  my   deck \n", ("my deck", 2, [ "a" ]));
+            ("my title\n+ more  words\nVIN in 0\n", ("my title  more  words", 1, []));
+            ("R1 in a bogus\nVIN in 0\n", ("R1 in a bogus", 1, []));
+            (".output a\n.output b c\nVIN in 0\n", ("", 1, [ "a"; "b"; "c" ]));
+            ("VIN in 0\n.title\n", ("", 1, []));
+            ("VIN in 0\nR1 in a 1\n+\n+ \n", ("", 2, []));
+            ("VIN in 0\nR1 in a 1\n* comment ; x\n   ; only comment\n$ x\n", ("", 2, []));
+          ];
+        match (parse_ok "VIN in 0\nR in a 1\nC a 0 1\nU a b 1 2\n").Spice.Deck.cards with
+        | [ v; r; c; u ] ->
+            check_string "names" "IN,r,c,u"
+              (String.concat "," (List.map Spice.Deck.card_name [ v; r; c; u ]))
+        | _ -> Alcotest.fail "wrong card count");
+    Alcotest.test_case "elaborate error precedence" `Quick (fun () ->
+        (* each deck fixes the fault reported for the one before *)
+        List.iter
+          (fun (text, expected) -> check_string (Printf.sprintf "%S" text) expected (render_elab text))
+          [
+            ( "V1 in 0\nV2 x 0\nR1 in 0 1\nC1 a b 1\nR2 a b 1\nR3 b a 1\nR4 p q 1\n.output zz\n",
+              "deck has multiple sources: 1, 2" );
+            ("V1 x y\nR1 in 0 1\n", {|source "1" must have one grounded terminal|});
+            ( "V1 in 0\nR1 in 0 1\nC1 a b 1\nR2 in a 1\nR3 a in 1\nR4 p q 1\n.output zz\n",
+              {|element "1" connects to ground; only capacitors may (an RC tree has no grounded resistors)|}
+            );
+            ( "V1 in 0\nC1 a b 1\nR1 in 0 1\nR2 in a 1\nR3 a in 1\nR4 p q 1\n.output zz\n",
+              {|capacitor "1" must have exactly one grounded terminal|} );
+            ("V1 in 0\nR1 in a -1\nR9 in 0 1\n", {|card "R1": value must be finite and non-negative|});
+            ( "V1 in 0\nR2 in a 1\nR3 a in 1\nR4 p q 1\n.output zz\n",
+              {|element "2" closes a cycle; the network is not a tree|} );
+            ("V1 in 0\nR1 in in 10\n", {|element "1" closes a cycle; the network is not a tree|});
+            ("V1 in 0\nR2 in a 1\nR4 p q 1\n.output zz\n", "nodes not reachable from the input: p, q");
+            ("V1 in 0\nR2 in a 1\n.output zz a\n", {|.output names unknown node "zz"|});
+          ]);
+    Alcotest.test_case "bfs numbering follows reverse card order" `Quick (fun () ->
+        (* a node's incident edges are walked newest card first *)
+        let text = "V1 in 0\nR1 a b 1\nR2 in a 2\nR3 c a 3\nU4 in d 4 5\nR5 a e 6\nR6 d f 7\nR7 f g 8\nR8 b h 9\n" in
+        let nodes =
+          "0 in parent=- c=0x0p+0 elem=none\n1 d parent=0 c=0x0p+0 elem=URC(4,5)\n\
+           2 a parent=0 c=0x0p+0 elem=R(2)\n3 f parent=1 c=0x0p+0 elem=R(7)\n\
+           4 e parent=2 c=0x0p+0 elem=R(6)\n5 c parent=2 c=0x0p+0 elem=R(3)\n\
+           6 b parent=2 c=0x0p+0 elem=R(1)\n7 g parent=3 c=0x0p+0 elem=R(8)\n\
+           8 h parent=6 c=0x0p+0 elem=R(9)\n"
+        in
+        check_string "default outputs" (nodes ^ "out e=4\nout c=5\nout g=7\nout h=8\n") (render_elab text);
+        check_string "named outputs" (nodes ^ "out h=8\nout c=5\nout a=2\n")
+          (render_elab (text ^ ".output h c a\n")));
+    Alcotest.test_case "capacitance sums in card order" `Quick (fun () ->
+        check_string "tree"
+          "0 in parent=- c=0x0p+0 elem=none\n1 a parent=0 c=0x1.3333333333334p-1 elem=R(1)\n\
+           2 b parent=1 c=0x1p+0 elem=R(1)\nout b=2\n"
+          (render_elab
+             "V1 in 0\nR1 in a 1\nC1 a 0 0.1\nC2 0 a 0.2\nC3 a gnd 0.3\nC4 b 0 0.7\nR2 a b 1\nC5 b 0 0.1\nC6 b 0 0.2\n"));
+    Alcotest.test_case "zero-resistance lines fold into their parent" `Quick (fun () ->
+        check_string "default outputs"
+          "0 in parent=- c=0x0p+0 elem=none\n1 a parent=0 c=0x1.cp+2 elem=R(10)\n\
+           2 e parent=1 c=0x1p+0 elem=R(6)\n3 c parent=1 c=0x1.8p+1 elem=R(5)\nout e=2\nout c=3\n"
+          (render_elab
+             "V1 in 0\nR1 in a 10\nU1 a b 0 2\nC1 a 0 1\nC2 b 0 4\nR2 b c 5\nU2 c d 0 3\nR3 a e 6\nU3 e f 0 1\n");
+        check_string "named outputs"
+          "0 in parent=- c=0x0p+0 elem=none\n1 a parent=0 c=0x1p+1 elem=R(10)\nout b=1\nout a=1\n"
+          (render_elab "V1 in 0\nR1 in a 10\nU1 a b 0 2\n.output b a b\n");
+        check_string "zero lines without capacitance stay edges"
+          "0 in parent=- c=0x0p+0 elem=none\n1 a parent=0 c=0x0p+0 elem=R(0)\n\
+           2 b parent=1 c=0x0p+0 elem=R(0)\nout b=2\n"
+          (render_elab "V1 in 0\nR1 in a 0\nU1 a b 0 0\n"));
+  ]
+
 let printer_tests =
   [
     Alcotest.test_case "round-trip preserves moments" `Quick (fun () ->
@@ -298,4 +440,5 @@ let () =
       ("elaborate", elaborate_tests);
       ("include", include_tests);
       ("printer", printer_tests);
+      ("pinned", pinned_tests);
     ]
