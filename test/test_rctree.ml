@@ -292,33 +292,6 @@ let tree_tests =
         check_bool "a resistor" true (element t a = Some (Rctree.Element.resistor 15.));
         check_bool "e line" true
           (element t e = Some (Rctree.Element.line ~resistance:3. ~capacitance:4.)));
-    Alcotest.test_case "outputs keep first-marking order, once each" `Quick (fun () ->
-        (* past sixteen outputs the duplicate check changes method; the
-           answer must not *)
-        List.iter
-          (fun n ->
-            let b = Builder.create () in
-            let ids = Array.init n (fun _ -> Builder.add_resistor b ~parent:(Builder.input b) 1.) in
-            let marked = ref [] in
-            let mark ?label id ~fresh =
-              Builder.mark_output b ?label id;
-              if fresh then marked := (Option.value label ~default:"n1", id) :: !marked
-            in
-            Array.iteri
-              (fun i id ->
-                let label = Printf.sprintf "o%d" i in
-                mark ~label id ~fresh:true;
-                mark ~label:"shared" ids.(0) ~fresh:(i = 0);
-                mark ~label id ~fresh:false)
-              ids;
-            (* a second label on a node, and a label reused on another node *)
-            mark ~label:"o1" ids.(0) ~fresh:true;
-            mark ~label:"o0" ids.(n - 1) ~fresh:(n > 1);
-            mark ids.(0) ~fresh:true;
-            mark ids.(0) ~fresh:false;
-            Alcotest.(check (list (pair string int)))
-              (Printf.sprintf "%d outputs" n) (List.rev !marked) (outputs (Builder.finish b)))
-          [ 1; 3; 40 ]);
     Alcotest.test_case "capacitance accumulates" `Quick (fun () ->
         let b = Builder.create () in
         let n = Builder.add_resistor b ~parent:(Builder.input b) 1. in
@@ -468,6 +441,33 @@ let tree_tests =
         check_string "dump"
           "tree fig7\n  in: input\n    a: R(15) C=2\n      b: R(8) C=7\n      e: URC(3,4) C=9 [output]\n"
           (Format.asprintf "%a" pp t));
+    Alcotest.test_case "outputs keep first-marking order, once each" `Quick (fun () ->
+        (* past sixteen outputs the duplicate check changes method; the
+           answer must not *)
+        List.iter
+          (fun n ->
+            let b = Builder.create () in
+            let ids = Array.init n (fun _ -> Builder.add_resistor b ~parent:(Builder.input b) 1.) in
+            let marked = ref [] in
+            let mark ?label id ~fresh =
+              Builder.mark_output b ?label id;
+              if fresh then marked := (Option.value label ~default:"n1", id) :: !marked
+            in
+            Array.iteri
+              (fun i id ->
+                let label = Printf.sprintf "o%d" i in
+                mark ~label id ~fresh:true;
+                mark ~label:"shared" ids.(0) ~fresh:(i = 0);
+                mark ~label id ~fresh:false)
+              ids;
+            (* a second label on a node, and a label reused on another node *)
+            mark ~label:"o1" ids.(0) ~fresh:true;
+            mark ~label:"o0" ids.(n - 1) ~fresh:(n > 1);
+            mark ids.(0) ~fresh:true;
+            mark ids.(0) ~fresh:false;
+            Alcotest.(check (list (pair string int)))
+              (Printf.sprintf "%d outputs" n) (List.rev !marked) (outputs (Builder.finish b)))
+          [ 1; 3; 40 ]);
   ]
 
 (* --- Path: the Fig. 3 resistance definitions ---------------------------- *)
