@@ -299,6 +299,8 @@ let ac_cmd path points segments =
         (Rctree.Tree.outputs lumped);
       0)
 
+(* a netlist value a library layer rejects (say, a wire whose delay
+   overflows) is bad input, exit 2, like a deck value in [with_tree] *)
 let sta_cmd path period hold elmore =
   let lib = Sta.Celllib.default Tech.Process.default_4um in
   match Sta.Netlist_io.parse_file lib path with
@@ -318,7 +320,10 @@ let sta_cmd path period hold elmore =
           1
       | Ok r ->
           print_string (Sta.Report.timing_report ?period ?hold r);
-          0)
+          0
+      | exception Invalid_argument msg ->
+          Printf.eprintf "%s: %s\n%!" path msg;
+          2)
 
 (* ---- sweep: incremental what-if queries ----
 

@@ -11,59 +11,102 @@ type step =
   | Through_net of { net : string; launch : window; arrival : window }
   | Through_cell of { instance : string; cell : string; input : string; output : window }
 
-(* per-net interconnect delays, computed once up front: [pins] maps
-   every load pin to its window in the chosen mode; [noload] is the
-   far-end window of a loadless net (meaningful only there) *)
-type net_delay = { pins : (Design.pin * window) list; noload : window }
-
+(* Every name is resolved to an int id once, in [index]: instances in
+   sorted-name order (as in [Graph]), nets in declaration order, and
+   load pins numbered net by net in load-list order.  Everything the
+   run computes is then an array indexed by one of those ids. *)
 type t = {
   design : Design.t;
   analysis_mode : mode;
   thresh : float;
-  net_delays : (string, net_delay) Hashtbl.t; (* net -> precomputed windows *)
-  launches : (string, window) Hashtbl.t; (* net -> window at driver output *)
-  pin_arrivals : (string * string, window) Hashtbl.t; (* load pin -> window *)
-  out_arrivals : (string, window) Hashtbl.t; (* instance -> output window *)
-  crit_input : (string, string) Hashtbl.t; (* instance -> input pin setting the late edge *)
-  pin_net : (string * string, string) Hashtbl.t; (* load pin -> net feeding it *)
-  end_arrivals : (string, window) Hashtbl.t; (* primary-output net -> arrival *)
-  end_crit_sink : (string, Design.pin option) Hashtbl.t;
+  inst_ids : (string, int) Hashtbl.t;
+  cells : Celllib.cell array; (* instance -> cell *)
+  net_ids : (string, int) Hashtbl.t;
+  nets : Design.net array; (* in declaration order *)
+  pin_loads : int array array; (* instance -> load on each input pin; -1 if open *)
+  load_net : int array; (* load -> net feeding it *)
+  first_load : int array; (* net -> its first load; loads of a net are consecutive *)
+  drives : int array; (* instance -> net its output drives; -1 if none *)
+  launches : window array; (* net -> window at driver output *)
+  pin_arrivals : window array; (* load -> window *)
+  out_arrivals : window array; (* instance -> output window *)
+  crit_input : int array; (* instance -> input pin position setting the late edge *)
+  ends : (window * int) option array;
+      (* primary-output net -> arrival and its critical load (-1: the far end) *)
 }
 
+let zero = { early = 0.; late = 0. }
 let add_window a b = { early = a.early +. b.early; late = a.late +. b.late }
 
-(* pure in the design: safe to evaluate for many nets concurrently *)
-let precompute_net mode thresh d (net : Design.net) =
-  match net.Design.loads with
-  | _ :: _ ->
-      let delays = Netdelay.sink_delays ~threshold:thresh d net in
-      let pins =
-        List.map
-          (fun (s : Netdelay.sink_delay) ->
-            match mode with
-            | Bounds_mode ->
-                let lo, hi = s.window in
-                (s.sink, { early = lo; late = hi })
-            | Elmore_mode -> (s.sink, { early = s.elmore; late = s.elmore }))
-          delays
-      in
-      { pins; noload = { early = 0.; late = 0. } }
-  | [] ->
-      let noload =
-        match mode with
-        | Bounds_mode ->
-            let lo, hi = Netdelay.worst_window ~threshold:thresh d net in
-            { early = lo; late = hi }
-        | Elmore_mode ->
-            let tree = Netdelay.tree_of_net d net in
-            let output = snd (List.hd (Rctree.Tree.outputs tree)) in
-            let e = Rctree.Moments.elmore tree ~output in
-            { early = e; late = e }
-      in
-      { pins = []; noload }
+let index mode thresh d =
+  let insts = Array.of_list (Design.instances d) and nets = Array.of_list (Design.nets d) in
+  let ids_of names =
+    let tbl = Hashtbl.create (2 * Array.length names) in
+    Array.iteri (fun i name -> Hashtbl.replace tbl name i) names;
+    tbl
+  in
+  let inst_ids = ids_of (Array.map fst insts) in
+  let cells = Array.map snd insts in
+  let first_load = Array.make (Array.length nets + 1) 0 in
+  Array.iteri
+    (fun i (net : Design.net) ->
+      first_load.(i + 1) <- first_load.(i) + List.length net.Design.loads)
+    nets;
+  let n_loads = first_load.(Array.length nets) in
+  let r =
+    {
+      design = d;
+      analysis_mode = mode;
+      thresh;
+      inst_ids;
+      cells;
+      net_ids = ids_of (Array.map (fun (n : Design.net) -> n.Design.net_name) nets);
+      nets;
+      pin_loads = Array.map (fun c -> Array.make (List.length c.Celllib.inputs) (-1)) cells;
+      load_net = Array.make n_loads 0;
+      first_load;
+      drives = Array.make (Array.length cells) (-1);
+      launches = Array.make (Array.length nets) zero;
+      pin_arrivals = Array.make n_loads zero;
+      out_arrivals = Array.make (Array.length cells) zero;
+      crit_input = Array.make (Array.length cells) 0;
+      ends = Array.make (Array.length nets) None;
+    }
+  in
+  Array.iteri
+    (fun i (net : Design.net) ->
+      (match net.Design.driver with
+      | Design.Primary _ -> ()
+      | Design.Cell_output { instance; _ } -> r.drives.(Hashtbl.find inst_ids instance) <- i);
+      List.iteri
+        (fun k { Design.instance; pin } ->
+          let u = Hashtbl.find inst_ids instance in
+          r.pin_loads.(u).(Option.get (Celllib.input_index cells.(u) pin)) <- first_load.(i) + k;
+          r.load_net.(first_load.(i) + k) <- i)
+        net.Design.loads)
+    nets;
+  r
 
-let net_window r (net : Design.net) pin =
-  List.assoc pin (Hashtbl.find r.net_delays net.Design.net_name).pins
+(* per-net interconnect delays in the chosen mode: [pins] for every load
+   in load-list order, [noload] the far-end window of a loadless net,
+   [load] the capacitance the driver charges.  Pure in the design:
+   safe to evaluate for many nets concurrently. *)
+type net_delay = { pins : window array; noload : window; load : float }
+
+let net_delay mode threshold d (net : Design.net) =
+  let f = Netdelay.figures ~threshold d net in
+  let window (s : Netdelay.sink_delay) =
+    match mode with
+    | Bounds_mode -> { early = fst s.window; late = snd s.window }
+    | Elmore_mode -> { early = s.elmore; late = s.elmore }
+  in
+  let noload =
+    match (mode, net.Design.loads) with
+    | Bounds_mode, [] -> { early = fst f.far_end; late = snd f.far_end }
+    | Elmore_mode, [] -> { early = Lazy.force f.far_end_elmore; late = Lazy.force f.far_end_elmore }
+    | _, _ :: _ -> zero
+  in
+  { pins = Array.map window f.sinks; noload; load = f.load }
 
 let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) ?pool d =
   List.iter
@@ -83,129 +126,78 @@ let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) ?pool d 
   with
   | Error cycle -> Error cycle
   | Ok order ->
+      let r = Obs.Span.with_ ~name:"sta.index" (fun () -> index mode threshold d) in
       (* the expensive part — one RC-tree analysis per net — is
          independent across nets; fan it out before the (cheap,
          order-dependent) propagation below *)
-      let net_delays = Hashtbl.create 16 in
-      Obs.Span.with_ ~name:"sta.netdelay" (fun () ->
-          let nets = Array.of_list (Design.nets d) in
-          let computed =
-            Parallel.Pool.map ?pool (fun net -> precompute_net mode threshold d net) nets
-          in
-          Array.iteri
-            (fun i nd -> Hashtbl.replace net_delays nets.(i).Design.net_name nd)
-            computed);
-      let r =
-        {
-          design = d;
-          analysis_mode = mode;
-          thresh = threshold;
-          net_delays;
-          launches = Hashtbl.create 16;
-          pin_arrivals = Hashtbl.create 16;
-          out_arrivals = Hashtbl.create 16;
-          crit_input = Hashtbl.create 16;
-          pin_net = Hashtbl.create 16;
-          end_arrivals = Hashtbl.create 16;
-          end_crit_sink = Hashtbl.create 16;
-        }
+      let delays =
+        Obs.Span.with_ ~name:"sta.netdelay" (fun () ->
+            Parallel.Pool.map ?pool (net_delay mode threshold d) r.nets)
       in
-      let zero = { early = 0.; late = 0. } in
-      (* launch of primary-input nets, and load-pin bookkeeping *)
-      List.iter
-        (fun (net : Design.net) ->
-          (match net.Design.driver with
-          | Design.Primary _ ->
-              let at =
-                Option.value (List.assoc_opt net.Design.net_name input_arrivals) ~default:0.
-              in
-              Hashtbl.replace r.launches net.Design.net_name { early = at; late = at }
-          | Design.Cell_output _ -> ());
-          List.iter
-            (fun { Design.instance; pin } ->
-              Hashtbl.replace r.pin_net (instance, pin) net.Design.net_name)
-            net.Design.loads)
-        (Design.nets d);
-      (* propagate one net once its launch is known *)
-      let propagate_net (net : Design.net) =
-        match Hashtbl.find_opt r.launches net.Design.net_name with
-        | None -> ()
-        | Some launch ->
-            Obs.Counter.incr m_nets;
-            List.iter
-              (fun pin ->
-                let w = net_window r net pin in
-                Hashtbl.replace r.pin_arrivals (pin.Design.instance, pin.Design.pin)
-                  (add_window launch w))
-              net.Design.loads
+      (* launch a net: arrival at each of its loads *)
+      let propagate_net i launch =
+        Obs.Counter.incr m_nets;
+        r.launches.(i) <- launch;
+        Array.iteri
+          (fun k w -> r.pin_arrivals.(r.first_load.(i) + k) <- add_window launch w)
+          delays.(i).pins
       in
-      List.iter propagate_net (Design.nets d);
-      (* instances in topological order *)
       Obs.Span.with_ ~name:"sta.propagate" (fun () ->
-      List.iter
-        (fun name ->
-          Obs.Counter.incr m_instances;
-          let cell = Design.cell_of d name in
-          let input_windows =
-            List.map
-              (fun (pin, _) ->
-                (pin, Option.value (Hashtbl.find_opt r.pin_arrivals (name, pin)) ~default:zero))
-              cell.Celllib.inputs
-          in
-          let worst_pin, worst =
-            List.fold_left
-              (fun ((_, acc) as best) ((_, w) as cand) -> if w.late > acc.late then cand else best)
-              (List.hd input_windows) (List.tl input_windows)
-          in
-          let earliest =
-            List.fold_left (fun acc (_, w) -> Float.min acc w.early) worst.early input_windows
-          in
-          let load =
-            match Design.net_driven_by d name with
-            | Some net -> Netdelay.load_capacitance d net
-            | None -> 0.
-          in
-          let cell_delay =
-            cell.Celllib.intrinsic_delay +. (cell.Celllib.delay_per_farad *. load)
-          in
-          let out = { early = earliest +. cell_delay; late = worst.late +. cell_delay } in
-          Hashtbl.replace r.out_arrivals name out;
-          Hashtbl.replace r.crit_input name worst_pin;
-          (match Design.net_driven_by d name with
-          | Some net ->
-              Hashtbl.replace r.launches net.Design.net_name out;
-              propagate_net net
-          | None -> ()))
-        order);
-      (* endpoints *)
+          Array.iteri
+            (fun i (net : Design.net) ->
+              match net.Design.driver with
+              | Design.Primary _ ->
+                  let at =
+                    Option.value (List.assoc_opt net.Design.net_name input_arrivals) ~default:0.
+                  in
+                  propagate_net i { early = at; late = at }
+              | Design.Cell_output _ -> ())
+            r.nets;
+          (* instances in topological order *)
+          List.iter
+            (fun name ->
+              Obs.Counter.incr m_instances;
+              let u = Hashtbl.find r.inst_ids name in
+              let cell = r.cells.(u) and loads = r.pin_loads.(u) in
+              let input k = if loads.(k) < 0 then zero else r.pin_arrivals.(loads.(k)) in
+              let crit = ref 0 in
+              for k = 1 to Array.length loads - 1 do
+                if (input k).late > (input !crit).late then crit := k
+              done;
+              let worst = input !crit in
+              let earliest = ref worst.early in
+              for k = 0 to Array.length loads - 1 do
+                earliest := Float.min !earliest (input k).early
+              done;
+              let net = r.drives.(u) in
+              let load = if net < 0 then 0. else delays.(net).load in
+              let cell_delay =
+                cell.Celllib.intrinsic_delay +. (cell.Celllib.delay_per_farad *. load)
+              in
+              let out = { early = !earliest +. cell_delay; late = worst.late +. cell_delay } in
+              r.out_arrivals.(u) <- out;
+              r.crit_input.(u) <- !crit;
+              if net >= 0 then propagate_net net out)
+            order);
       Obs.Span.with_ ~name:"sta.endpoints" (fun () ->
-      List.iter
-        (fun po ->
-          Obs.Counter.incr m_endpoints;
-          let net = Design.net d po in
-          let launch = Option.value (Hashtbl.find_opt r.launches po) ~default:zero in
-          let arrival, crit_sink =
-            match net.Design.loads with
-            | [] ->
-                ( add_window launch (Hashtbl.find r.net_delays net.Design.net_name).noload,
-                  None )
-            | loads ->
-                let worst =
-                  List.fold_left
-                    (fun acc pin ->
-                      let w = add_window launch (net_window r net pin) in
-                      match acc with
-                      | Some (_, best) when best.late >= w.late -> acc
-                      | Some _ | None -> Some (pin, w))
-                    None loads
-                in
-                (match worst with
-                | Some (pin, w) -> (w, Some pin)
-                | None -> (launch, None))
-          in
-          Hashtbl.replace r.end_arrivals po arrival;
-          Hashtbl.replace r.end_crit_sink po crit_sink)
-        (Design.primary_outputs d));
+          List.iter
+            (fun po ->
+              Obs.Counter.incr m_endpoints;
+              let i = Hashtbl.find r.net_ids po in
+              let first = r.first_load.(i) and last = r.first_load.(i + 1) - 1 in
+              let arrival, sink =
+                if last < first then (add_window r.launches.(i) delays.(i).noload, -1)
+                else begin
+                  (* the first load with the latest late edge *)
+                  let sink = ref first in
+                  for l = first + 1 to last do
+                    if not (r.pin_arrivals.(!sink).late >= r.pin_arrivals.(l).late) then sink := l
+                  done;
+                  (r.pin_arrivals.(!sink), !sink)
+                end
+              in
+              r.ends.(i) <- Some (arrival, sink))
+            (Design.primary_outputs d));
       Ok r
 
 let run_exn ?mode ?threshold ?input_arrivals ?pool d =
@@ -216,10 +208,20 @@ let run_exn ?mode ?threshold ?input_arrivals ?pool d =
 
 let mode r = r.analysis_mode
 let threshold r = r.thresh
-let net_launch r name = Hashtbl.find r.launches name
-let pin_arrival r { Design.instance; pin } = Hashtbl.find r.pin_arrivals (instance, pin)
-let output_arrival r name = Hashtbl.find r.out_arrivals name
-let endpoint_arrival r name = Hashtbl.find r.end_arrivals name
+let net_launch r name = r.launches.(Hashtbl.find r.net_ids name)
+
+let pin_arrival r { Design.instance; pin } =
+  let u = Hashtbl.find r.inst_ids instance in
+  match Celllib.input_index r.cells.(u) pin with
+  | Some k when r.pin_loads.(u).(k) >= 0 -> r.pin_arrivals.(r.pin_loads.(u).(k))
+  | Some _ | None -> raise Not_found
+
+let output_arrival r name = r.out_arrivals.(Hashtbl.find r.inst_ids name)
+
+let end_of r name =
+  match r.ends.(Hashtbl.find r.net_ids name) with Some e -> e | None -> raise Not_found
+
+let endpoint_arrival r name = fst (end_of r name)
 
 let endpoints r =
   List.map (fun po -> (po, endpoint_arrival r po)) (Design.primary_outputs r.design)
@@ -231,36 +233,30 @@ let worst_endpoint r =
     None (endpoints r)
 
 let critical_path r endpoint =
-  let rec back_from_net net_name sink steps =
-    let net = Design.net r.design net_name in
-    let launch = Option.value (Hashtbl.find_opt r.launches net_name) ~default:{ early = 0.; late = 0. } in
-    let arrival =
-      match sink with
-      | Some pin -> pin_arrival r pin
-      | None -> Option.value (Hashtbl.find_opt r.end_arrivals net_name) ~default:launch
-    in
-    let steps = Through_net { net = net_name; launch; arrival } :: steps in
-    match net.Design.driver with
+  (* [sink]: the load the path arrives at, or -1 for the far end *)
+  let rec back_from_net i sink steps =
+    let launch = r.launches.(i) in
+    let arrival = if sink < 0 then fst (Option.get r.ends.(i)) else r.pin_arrivals.(sink) in
+    let steps = Through_net { net = r.nets.(i).Design.net_name; launch; arrival } :: steps in
+    match r.nets.(i).Design.driver with
     | Design.Primary _ -> steps
     | Design.Cell_output { instance; _ } ->
-        let cell = Design.cell_of r.design instance in
-        let input = Hashtbl.find r.crit_input instance in
+        let u = Hashtbl.find r.inst_ids instance in
+        let k = r.crit_input.(u) in
         let steps =
           Through_cell
             {
               instance;
-              cell = cell.Celllib.cell_name;
-              input;
-              output = output_arrival r instance;
+              cell = r.cells.(u).Celllib.cell_name;
+              input = fst (List.nth r.cells.(u).Celllib.inputs k);
+              output = r.out_arrivals.(u);
             }
           :: steps
         in
-        (match Hashtbl.find_opt r.pin_net (instance, input) with
-        | Some feeding -> back_from_net feeding (Some { Design.instance; pin = input }) steps
-        | None -> steps)
+        let l = r.pin_loads.(u).(k) in
+        if l < 0 then steps else back_from_net r.load_net.(l) l steps
   in
-  let crit_sink = Hashtbl.find r.end_crit_sink endpoint in
-  back_from_net endpoint crit_sink []
+  back_from_net (Hashtbl.find r.net_ids endpoint) (snd (end_of r endpoint)) []
 
 let hold_slack r ~hold =
   if hold < 0. then invalid_arg "Analysis.hold_slack: negative hold requirement";

@@ -25,6 +25,8 @@ let make ~name ~inputs ?(output = "y") ~intrinsic_delay ?(delay_per_farad = 0.) 
 let input_capacitance cell pin = List.assoc pin cell.inputs
 let has_input cell pin = List.mem_assoc pin cell.inputs
 
+let input_index cell pin = List.find_index (fun (p, _) -> String.equal p pin) cell.inputs
+
 type library = (string * cell) list
 
 let library cells =

@@ -37,6 +37,9 @@ val input_capacitance : cell -> string -> float
 
 val has_input : cell -> string -> bool
 
+val input_index : cell -> string -> int option
+(** Position of the input pin in [inputs]. *)
+
 type library
 
 val library : cell list -> library

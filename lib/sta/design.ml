@@ -11,25 +11,29 @@ type driver_kind = Cell_output of pin | Primary of Tech.Mosfet.driver
 
 type net = { net_name : string; driver : driver_kind; loads : pin list; wire : wire_shape }
 
+(* one record per instance: the net on each input pin, in
+   [cell.inputs] order, and the net its output drives *)
+type inst = { cell : Celllib.cell; pin_nets : string option array; mutable drives : string option }
+
 type t = {
   lib : Celllib.library;
-  insts : (string, Celllib.cell) Hashtbl.t;
-  mutable net_order : string list; (* reverse declaration order *)
+  insts : (string, inst) Hashtbl.t;
+  mutable sorted : (string * Celllib.cell) list option; (* [instances], until the next add *)
+  mutable net_order : net list; (* reverse declaration order *)
   net_tbl : (string, net) Hashtbl.t;
-  used_loads : (string * string, string) Hashtbl.t; (* (inst, pin) -> net *)
-  driver_of_inst : (string, string) Hashtbl.t; (* instance -> net its output drives *)
   mutable pos : string list; (* reverse order *)
+  po_set : (string, unit) Hashtbl.t;
 }
 
 let create lib =
   {
     lib;
-    insts = Hashtbl.create 16;
+    insts = Hashtbl.create 64;
+    sorted = None;
     net_order = [];
-    net_tbl = Hashtbl.create 16;
-    used_loads = Hashtbl.create 16;
-    driver_of_inst = Hashtbl.create 16;
+    net_tbl = Hashtbl.create 64;
     pos = [];
+    po_set = Hashtbl.create 64;
   }
 
 let library d = d.lib
@@ -38,43 +42,47 @@ let add_instance d ~cell name =
   if Hashtbl.mem d.insts name then
     invalid_arg (Printf.sprintf "Design.add_instance: duplicate instance %S" name);
   match Celllib.find d.lib cell with
-  | c -> Hashtbl.replace d.insts name c
+  | c ->
+      d.sorted <- None;
+      Hashtbl.replace d.insts name
+        { cell = c; pin_nets = Array.make (List.length c.Celllib.inputs) None; drives = None }
   | exception Not_found -> invalid_arg (Printf.sprintf "Design.add_instance: unknown cell %S" cell)
 
-let cell_of d name = Hashtbl.find d.insts name
+let cell_of d name = (Hashtbl.find d.insts name).cell
+
+let find_inst d instance =
+  match Hashtbl.find_opt d.insts instance with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "Design.add_net: unknown instance %S" instance)
 
 let validate_load d net_name { instance; pin } =
-  let cell =
-    match Hashtbl.find_opt d.insts instance with
-    | Some c -> c
-    | None -> invalid_arg (Printf.sprintf "Design.add_net: unknown instance %S" instance)
-  in
-  if not (Celllib.has_input cell pin) then
-    invalid_arg
-      (Printf.sprintf "Design.add_net: %S has no input pin %S (cell %s)" instance pin
-         cell.Celllib.cell_name);
-  match Hashtbl.find_opt d.used_loads (instance, pin) with
-  | Some other ->
+  let i = find_inst d instance in
+  match Celllib.input_index i.cell pin with
+  | None ->
       invalid_arg
-        (Printf.sprintf "Design.add_net: pin %s/%s already loaded by net %S" instance pin other)
-  | None -> Hashtbl.replace d.used_loads (instance, pin) net_name
+        (Printf.sprintf "Design.add_net: %S has no input pin %S (cell %s)" instance pin
+           i.cell.Celllib.cell_name)
+  | Some k -> (
+      match i.pin_nets.(k) with
+      | Some other ->
+          invalid_arg
+            (Printf.sprintf "Design.add_net: pin %s/%s already loaded by net %S" instance pin other)
+      | None -> i.pin_nets.(k) <- Some net_name)
 
 let add_net d ?(wire = Direct) ~driver ~loads name =
   if Hashtbl.mem d.net_tbl name then
     invalid_arg (Printf.sprintf "Design.add_net: duplicate net %S" name);
   (match driver with
   | Primary _ -> ()
-  | Cell_output { instance; pin } -> (
-      match Hashtbl.find_opt d.insts instance with
-      | None -> invalid_arg (Printf.sprintf "Design.add_net: unknown instance %S" instance)
-      | Some cell ->
-          if cell.Celllib.output <> pin then
-            invalid_arg
-              (Printf.sprintf "Design.add_net: %S output pin is %S, not %S" instance
-                 cell.Celllib.output pin);
-          if Hashtbl.mem d.driver_of_inst instance then
-            invalid_arg (Printf.sprintf "Design.add_net: instance %S already drives a net" instance);
-          Hashtbl.replace d.driver_of_inst instance name));
+  | Cell_output { instance; pin } ->
+      let i = find_inst d instance in
+      if i.cell.Celllib.output <> pin then
+        invalid_arg
+          (Printf.sprintf "Design.add_net: %S output pin is %S, not %S" instance
+             i.cell.Celllib.output pin);
+      if Option.is_some i.drives then
+        invalid_arg (Printf.sprintf "Design.add_net: instance %S already drives a net" instance);
+      i.drives <- Some name);
   List.iter (validate_load d name) loads;
   (match wire with
   | Direct -> ()
@@ -84,21 +92,36 @@ let add_net d ?(wire = Direct) ~driver ~loads name =
   | Daisy { resistance; capacitance } ->
       if resistance < 0. || capacitance < 0. then
         invalid_arg "Design.add_net: negative wire values");
-  Hashtbl.replace d.net_tbl name { net_name = name; driver; loads; wire };
-  d.net_order <- name :: d.net_order
+  let net = { net_name = name; driver; loads; wire } in
+  Hashtbl.replace d.net_tbl name net;
+  d.net_order <- net :: d.net_order
 
 let mark_primary_output d name =
   if not (Hashtbl.mem d.net_tbl name) then
     invalid_arg (Printf.sprintf "Design.mark_primary_output: unknown net %S" name);
-  if not (List.mem name d.pos) then d.pos <- name :: d.pos
+  if not (Hashtbl.mem d.po_set name) then begin
+    Hashtbl.replace d.po_set name ();
+    d.pos <- name :: d.pos
+  end
 
 let instances d =
-  Hashtbl.fold (fun name cell acc -> (name, cell) :: acc) d.insts []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  match d.sorted with
+  | Some l -> l
+  | None ->
+      let l =
+        Hashtbl.fold (fun name i acc -> (name, i.cell) :: acc) d.insts []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      in
+      d.sorted <- Some l;
+      l
 
-let nets d = List.rev_map (Hashtbl.find d.net_tbl) d.net_order
+let nets d = List.rev d.net_order
 let net d name = Hashtbl.find d.net_tbl name
-let net_driven_by d instance = Option.map (Hashtbl.find d.net_tbl) (Hashtbl.find_opt d.driver_of_inst instance)
+
+let net_driven_by d instance =
+  match Hashtbl.find_opt d.insts instance with
+  | Some { drives = Some net; _ } -> Some (Hashtbl.find d.net_tbl net)
+  | Some { drives = None; _ } | None -> None
 
 let nets_loading d instance =
   List.filter (fun n -> List.exists (fun l -> l.instance = instance) n.loads) (nets d)
@@ -109,17 +132,19 @@ let check d =
   let problems = ref [] in
   let add p = problems := p :: !problems in
   List.iter
-    (fun (name, cell) ->
-      List.iter
-        (fun (pin, _) ->
-          if not (Hashtbl.mem d.used_loads (name, pin)) then
+    (fun (name, _) ->
+      let i = Hashtbl.find d.insts name in
+      List.iteri
+        (fun k (pin, _) ->
+          if Option.is_none i.pin_nets.(k) then
             add (Printf.sprintf "input pin %s/%s is unconnected" name pin))
-        cell.Celllib.inputs;
-      if not (Hashtbl.mem d.driver_of_inst name) then
+        i.cell.Celllib.inputs;
+      if Option.is_none i.drives then
         add (Printf.sprintf "output of instance %s drives nothing" name))
     (instances d);
   List.iter
-    (fun n -> if n.loads = [] && not (List.mem n.net_name d.pos) then
+    (fun n ->
+      if n.loads = [] && not (Hashtbl.mem d.po_set n.net_name) then
         add (Printf.sprintf "net %s has no loads and is not a primary output" n.net_name))
     (nets d);
   List.rev !problems

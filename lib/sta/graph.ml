@@ -1,74 +1,78 @@
+(* instances are numbered in sorted-name order, so walking ids in
+   ascending order visits names in sorted order *)
 type t = {
-  names : string list; (* sorted *)
-  preds : (string, string list) Hashtbl.t;
-  succs : (string, string list) Hashtbl.t;
+  names : string array; (* sorted *)
+  ids : (string, int) Hashtbl.t;
+  preds : int array array; (* sorted, deduplicated *)
+  succs : int array array;
 }
 
 let of_design d =
-  let names = List.map fst (Design.instances d) in
-  let preds = Hashtbl.create 16 and succs = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      Hashtbl.replace preds n [];
-      Hashtbl.replace succs n [])
-    names;
+  let names = Array.of_list (List.map fst (Design.instances d)) in
+  let n = Array.length names in
+  let ids = Hashtbl.create (2 * n) in
+  Array.iteri (fun i name -> Hashtbl.replace ids name i) names;
+  let preds = Array.make n [] and succs = Array.make n [] in
   List.iter
     (fun (net : Design.net) ->
       match net.Design.driver with
       | Design.Primary _ -> ()
-      | Design.Cell_output { instance = src; _ } ->
+      | Design.Cell_output { instance; _ } ->
+          let src = Hashtbl.find ids instance in
           List.iter
-            (fun { Design.instance = dst; _ } ->
-              Hashtbl.replace preds dst (src :: Hashtbl.find preds dst);
-              Hashtbl.replace succs src (dst :: Hashtbl.find succs src))
+            (fun { Design.instance; _ } ->
+              let dst = Hashtbl.find ids instance in
+              preds.(dst) <- src :: preds.(dst);
+              succs.(src) <- dst :: succs.(src))
             net.Design.loads)
     (Design.nets d);
-  let dedup tbl =
-    Hashtbl.iter (fun k v -> Hashtbl.replace tbl k (List.sort_uniq String.compare v)) (Hashtbl.copy tbl)
-  in
-  dedup preds;
-  dedup succs;
-  { names; preds; succs }
+  let sorted l = Array.of_list (List.sort_uniq Int.compare l) in
+  { names; ids; preds = Array.map sorted preds; succs = Array.map sorted succs }
 
-let predecessors g name = Option.value (Hashtbl.find_opt g.preds name) ~default:[]
-let successors g name = Option.value (Hashtbl.find_opt g.succs name) ~default:[]
+let neighbours adj g name =
+  match Hashtbl.find_opt g.ids name with
+  | Some i -> Array.fold_right (fun j acc -> g.names.(j) :: acc) adj.(i) []
+  | None -> []
+
+let predecessors g name = neighbours g.preds g name
+let successors g name = neighbours g.succs g name
+
+(* Kahn's algorithm; the queue is an array, filled in pop order *)
+let order_ids g =
+  let n = Array.length g.names in
+  let indegree = Array.map Array.length g.preds in
+  let queue = Array.make n 0 and tail = ref 0 in
+  let push i =
+    queue.(!tail) <- i;
+    incr tail
+  in
+  for i = 0 to n - 1 do
+    if indegree.(i) = 0 then push i
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    Array.iter
+      (fun s ->
+        indegree.(s) <- indegree.(s) - 1;
+        if indegree.(s) = 0 then push s)
+      g.succs.(queue.(!head));
+    incr head
+  done;
+  if !tail = n then Ok queue
+  else Error (List.filter (fun i -> indegree.(i) > 0) (List.init n Fun.id))
 
 let topological_order g =
-  let indegree = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace indegree n (List.length (predecessors g n))) g.names;
-  let ready =
-    List.filter (fun n -> Hashtbl.find indegree n = 0) g.names
-  in
-  let queue = Queue.create () in
-  List.iter (fun n -> Queue.add n queue) ready;
-  let order = ref [] and seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let n = Queue.pop queue in
-    order := n :: !order;
-    incr seen;
-    List.iter
-      (fun s ->
-        let d = Hashtbl.find indegree s - 1 in
-        Hashtbl.replace indegree s d;
-        if d = 0 then Queue.add s queue)
-      (successors g n)
-  done;
-  if !seen = List.length g.names then Ok (List.rev !order)
-  else begin
-    let stuck = List.filter (fun n -> Hashtbl.find indegree n > 0) g.names in
-    Error stuck
-  end
+  match order_ids g with
+  | Ok order -> Ok (Array.to_list (Array.map (fun i -> g.names.(i)) order))
+  | Error stuck -> Error (List.map (fun i -> g.names.(i)) stuck)
 
 let levels g =
-  match topological_order g with
+  match order_ids g with
   | Error _ -> invalid_arg "Graph.levels: design has a combinational cycle"
   | Ok order ->
-      let level = Hashtbl.create 16 in
-      List.iter
-        (fun n ->
-          let l =
-            List.fold_left (fun acc p -> Int.max acc (Hashtbl.find level p + 1)) 0 (predecessors g n)
-          in
-          Hashtbl.replace level n l)
+      let level = Array.make (Array.length g.names) 0 in
+      Array.iter
+        (fun i ->
+          level.(i) <- Array.fold_left (fun acc p -> Int.max acc (level.(p) + 1)) 0 g.preds.(i))
         order;
-      List.map (fun n -> (n, Hashtbl.find level n)) order
+      Array.to_list (Array.map (fun i -> (g.names.(i), level.(i))) order)

@@ -20,80 +20,96 @@ let tree_of_net d (net : Design.net) =
     Rctree.Tree.Builder.add_capacitance b at (load_capacitance d pin);
     Rctree.Tree.Builder.mark_output b ~label:(sink_label pin) at
   in
-  (match (net.Design.wire, net.Design.loads) with
-  | Design.Direct, loads -> List.iter (attach_sink source) loads
-  | Design.Lumped c, loads ->
-      Rctree.Tree.Builder.add_capacitance b source c;
-      List.iter (attach_sink source) loads
-  | Design.Line { resistance; capacitance }, loads ->
-      let far = Rctree.Tree.Builder.add_line b ~parent:source ~name:"wire" resistance capacitance in
-      List.iter (attach_sink far) loads
-  | Design.Star { resistance; capacitance }, loads ->
-      List.iter
-        (fun pin ->
-          let far =
-            Rctree.Tree.Builder.add_line b ~parent:source ~name:("wire." ^ sink_label pin)
-              resistance capacitance
-          in
-          attach_sink far pin)
-        loads
-  | Design.Daisy { resistance; capacitance }, loads ->
-      let n = List.length loads in
-      if n = 0 then
-        ignore (Rctree.Tree.Builder.add_line b ~parent:source ~name:"wire" resistance capacitance)
-      else begin
-        let r_seg = resistance /. float_of_int n and c_seg = capacitance /. float_of_int n in
-        let (_ : Rctree.Tree.node_id) =
-          List.fold_left
-            (fun at pin ->
-              let next =
-                Rctree.Tree.Builder.add_line b ~parent:at ~name:("tap." ^ sink_label pin) r_seg
-                  c_seg
-              in
-              attach_sink next pin;
-              next)
-            source loads
+  (* each shape returns the deepest node it added: the far end of the
+     wire, which a loadless net marks as its output *)
+  let far =
+    match (net.Design.wire, net.Design.loads) with
+    | Design.Direct, loads ->
+        List.iter (attach_sink source) loads;
+        source
+    | Design.Lumped c, loads ->
+        Rctree.Tree.Builder.add_capacitance b source c;
+        List.iter (attach_sink source) loads;
+        source
+    | Design.Line { resistance; capacitance }, loads
+    | Design.Daisy { resistance; capacitance }, ([] as loads) ->
+        let far =
+          Rctree.Tree.Builder.add_line b ~parent:source ~name:"wire" resistance capacitance
         in
-        ()
-      end);
-  if net.Design.loads = [] then begin
-    let snapshot = Rctree.Tree.Builder.finish b in
-    (* deepest node = far end of whatever wire exists *)
-    let far = Rctree.Tree.node_count snapshot - 1 in
-    Rctree.Tree.Builder.mark_output b ~label:(net.Design.net_name ^ ".end") far
-  end;
+        List.iter (attach_sink far) loads;
+        far
+    | Design.Star { resistance; capacitance }, loads ->
+        List.fold_left
+          (fun _ pin ->
+            let far =
+              Rctree.Tree.Builder.add_line b ~parent:source ~name:("wire." ^ sink_label pin)
+                resistance capacitance
+            in
+            attach_sink far pin;
+            far)
+          source loads
+    | Design.Daisy { resistance; capacitance }, loads ->
+        let n = float_of_int (List.length loads) in
+        let r_seg = resistance /. n and c_seg = capacitance /. n in
+        List.fold_left
+          (fun at pin ->
+            let next =
+              Rctree.Tree.Builder.add_line b ~parent:at ~name:("tap." ^ sink_label pin) r_seg c_seg
+            in
+            attach_sink next pin;
+            next)
+          source loads
+  in
+  if net.Design.loads = [] then
+    Rctree.Tree.Builder.mark_output b ~label:(net.Design.net_name ^ ".end") far;
   Rctree.Tree.Builder.finish b
-
-let load_capacitance d (net : Design.net) =
-  let drv = driver_of d net in
-  let tree = tree_of_net d net in
-  Rctree.Tree.total_capacitance tree -. drv.Tech.Mosfet.output_capacitance
 
 type sink_delay = { sink : Design.pin; elmore : float; window : float * float }
 
-(* one all-node pass per net; [tree_of_net] marks one output per load,
-   in load-list order, so the two lists pair up *)
-let sink_delays ?(threshold = 0.5) d (net : Design.net) =
-  match net.Design.loads with
-  | [] -> []
-  | loads ->
-      let h = Rctree.Analysis.make (tree_of_net d net) in
-      List.map2
-        (fun sink (_, id) ->
-          let ts = Rctree.Analysis.times h ~output:(`Id id) in
-          let window = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold) in
-          { sink; elmore = ts.Rctree.Times.t_d; window })
-        loads (Rctree.Analysis.outputs h)
+type figures = {
+  sinks : sink_delay array;
+  far_end : float * float;
+  far_end_elmore : float Lazy.t;
+  load : float;
+}
+
+(* [tree_of_net] marks one output per load, in load-list order, so
+   outputs and loads pair up; a loadless net's one output is its far end *)
+let figures ?(threshold = 0.5) d (net : Design.net) =
+  let tree = tree_of_net d net in
+  let h = Rctree.Analysis.make tree in
+  let outputs = Array.of_list (Rctree.Analysis.outputs h) in
+  let window id =
+    let ts = Rctree.Analysis.times h ~output:(`Id id) in
+    (ts, (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold))
+  in
+  let sink k pin =
+    let ts, window = window (snd outputs.(k)) in
+    { sink = pin; elmore = ts.Rctree.Times.t_d; window }
+  in
+  let sinks = Array.of_list (List.mapi sink net.Design.loads) in
+  {
+    sinks;
+    far_end = (if Array.length sinks = 0 then snd (window (snd outputs.(0))) else (0., 0.));
+    far_end_elmore = lazy (Rctree.Moments.elmore tree ~output:(snd outputs.(0)));
+    load = Rctree.Tree.total_capacitance tree -. (driver_of d net).Tech.Mosfet.output_capacitance;
+  }
+
+let load_capacitance d net = (figures d net).load
+
+let sink_delays ?threshold d (net : Design.net) =
+  if net.Design.loads = [] then [] else Array.to_list (figures ?threshold d net).sinks
+
+let worst_window ?threshold d net =
+  match figures ?threshold d net with
+  | { sinks = [||]; far_end; _ } -> far_end
+  | { sinks; _ } ->
+      Array.fold_left
+        (fun (lo, hi) { window = l, h; _ } -> (Float.min lo l, Float.max hi h))
+        sinks.(0).window sinks
 
 let all_sink_delays ?pool ?threshold d =
   Obs.Span.with_ ~name:"sta.netdelay_batch" @@ fun () ->
   Parallel.Pool.map_list ?pool
     (fun (net : Design.net) -> (net.Design.net_name, sink_delays ?threshold d net))
     (Design.nets d)
-
-let worst_window ?(threshold = 0.5) d net =
-  let h = Rctree.Analysis.make (tree_of_net d net) in
-  match Array.to_list (Rctree.Analysis.all_delay_bounds h ~threshold) with
-  | [] -> (0., 0.)
-  | (_, _, first) :: rest ->
-      List.fold_left (fun (lo, hi) (_, _, (l, h)) -> (Float.min lo l, Float.max hi h)) first rest

@@ -20,6 +20,22 @@ type sink_delay = {
   window : float * float;  (** [(t_min, t_max)] at the chosen threshold *)
 }
 
+type figures = {
+  sinks : sink_delay array;  (** one per load, in load-list order *)
+  far_end : float * float;
+      (** [(t_min, t_max)] at the far end of a loadless net's wire;
+          [(0, 0)] when the net has loads *)
+  far_end_elmore : float Lazy.t;
+      (** Elmore delay to a loadless net's far end by the per-output
+          reference [Rctree.Moments.elmore]; forced only when asked for *)
+  load : float;  (** {!load_capacitance} *)
+}
+
+val figures : ?threshold:float -> Design.t -> Design.net -> figures
+(** Everything the timing engine reads about one net, from one RC tree
+    and one all-node moments pass.  {!sink_delays}, {!worst_window}
+    and {!load_capacitance} are views of it. *)
+
 val sink_delays : ?threshold:float -> Design.t -> Design.net -> sink_delay list
 (** Threshold defaults to 0.5.  Order follows the net's load list. *)
 
@@ -37,4 +53,5 @@ val load_capacitance : Design.t -> Design.net -> float
 
 val worst_window : ?threshold:float -> Design.t -> Design.net -> float * float
 (** Componentwise: [(min over sinks of t_min, max over sinks of
-    t_max)]; [(0, 0)] for a net with no loads. *)
+    t_max)]; for a net with no loads, the window at the far end of its
+    wire. *)

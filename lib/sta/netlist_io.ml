@@ -40,11 +40,13 @@ let parse_wire line s =
 
 let parse_drive line s =
   match String.split_on_char ':' s with
-  | [ r; c ] ->
-      Tech.Mosfet.driver ~name:"input"
-        ~on_resistance:(parse_value line "drive resistance" r)
-        ~output_capacitance:(parse_value line "drive capacitance" c)
-        ()
+  | [ r; c ] -> (
+      try
+        Tech.Mosfet.driver ~name:"input"
+          ~on_resistance:(parse_value line "drive resistance" r)
+          ~output_capacitance:(parse_value line "drive capacitance" c)
+          ()
+      with Invalid_argument m -> fail line m)
   | _ -> fail line (Printf.sprintf "bad drive spec %S (expected R:C)" s)
 
 (* split "key=value" tokens into an association list *)
@@ -117,18 +119,12 @@ let parse_lines lib lines =
   design
 
 let parse_string lib text =
+  Obs.Span.with_ ~name:"sta.parse" @@ fun () ->
   match parse_lines lib (String.split_on_char '\n' text) with
   | design -> Ok design
   | exception Err e -> Error e
 
-let parse_file lib path =
-  let ic = open_in path in
-  let rec read acc =
-    match input_line ic with line -> read (line :: acc) | exception End_of_file -> List.rev acc
-  in
-  let lines = read [] in
-  close_in ic;
-  match parse_lines lib lines with design -> Ok design | exception Err e -> Error e
+let parse_file lib path = parse_string lib (In_channel.with_open_bin path In_channel.input_all)
 
 let fmt_value v = Rctree.Units.format_si ~digits:9 v
 

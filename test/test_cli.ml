@@ -332,6 +332,19 @@ let tests =
             ("R1 = 5e-324", "Vin in 0 1\nR1 in n1 5e-324\nC1 n1 0 1p\n.end\n");
             ("C1 = 1e308", "Vin in 0 1\nR1 in n1 1k\nC1 n1 0 1e308\n.end\n");
           ]);
+    Alcotest.test_case "sta: bad netlist values exit 2 with a location" `Quick (fun () ->
+        let run_sta text expected =
+          with_deck text (fun path ->
+              let code, out = run [ "sta"; path ] in
+              check_int (expected ^ " exit") 2 code;
+              check_bool (expected ^ " located") true (contains out (path ^ ": " ^ expected)))
+        in
+        run_sta "cell inv1 u1\ninput a drive=0:1f loads=u1/a\nnet y driver=u1/y loads=\noutput y\n"
+          "line 2: Mosfet.driver: on_resistance must be positive";
+        run_sta
+          "cell inv1 u1\ninput a drive=1e308:1e308 wire=line:1e308,1e308 loads=u1/a\n\
+           net y driver=u1/y loads=\noutput y\n"
+          "Times.make: values must be finite and non-negative");
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

@@ -268,6 +268,19 @@ let solver_stats_tests =
             in
             check_int "decks parsed" 2 (counter "spice.decks_parsed");
             check_int "parse errors" 1 (counter "spice.parse_errors")));
+    Alcotest.test_case "netlist string and file parses each open one sta.parse span" `Quick
+      (fun () ->
+        with_metrics (fun () ->
+            let lib = Sta.Celllib.default Tech.Process.default_4um in
+            let text = "cell inv1 u1\ninput a loads=u1/a\nnet y driver=u1/y loads=\noutput y\n" in
+            check_bool "string parse" true (Result.is_ok (Sta.Netlist_io.parse_string lib text));
+            check_int "one span" 1 (Obs.Span.calls "sta.parse");
+            let path = Filename.temp_file "obs" ".net" in
+            Out_channel.with_open_bin path (fun oc -> output_string oc text);
+            let parsed = Sta.Netlist_io.parse_file lib path in
+            Sys.remove path;
+            check_bool "file parse" true (Result.is_ok parsed);
+            check_int "one more for the file" 2 (Obs.Span.calls "sta.parse")));
   ]
 
 let () =

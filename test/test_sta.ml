@@ -138,6 +138,106 @@ let design_tests =
     Alcotest.test_case "mark_primary_output unknown net rejected" `Quick (fun () ->
         let d = chain () in
         check_invalid "po" (fun () -> Sta.Design.mark_primary_output d "zz"));
+    Alcotest.test_case "error messages are pinned" `Quick (fun () ->
+        let message f =
+          match f () with
+          | _ -> Alcotest.fail "expected Invalid_argument"
+          | exception Invalid_argument m -> m
+        in
+        let primary loads name () =
+          Sta.Design.add_net (chain ()) ~driver:(Sta.Design.Primary unit_drive) ~loads name
+        in
+        let driven_by p name () =
+          Sta.Design.add_net (chain ()) ~driver:(Sta.Design.Cell_output p) ~loads:[] name
+        in
+        List.iter
+          (fun (what, expected, f) -> check_string what expected (message f))
+          [
+            ( "duplicate instance",
+              "Design.add_instance: duplicate instance \"u1\"",
+              fun () -> Sta.Design.add_instance (chain ()) ~cell:"probe" "u1" );
+            ( "unknown cell",
+              "Design.add_instance: unknown cell \"zz\"",
+              fun () -> Sta.Design.add_instance (chain ()) ~cell:"zz" "u9" );
+            ("duplicate net", "Design.add_net: duplicate net \"n0\"", primary [] "n0");
+            ( "unknown driver instance",
+              "Design.add_net: unknown instance \"ghost\"",
+              driven_by (pin "ghost" "y") "x" );
+            ( "wrong output pin",
+              "Design.add_net: \"u1\" output pin is \"y\", not \"q\"",
+              driven_by (pin "u1" "q") "x" );
+            ( "double drive",
+              "Design.add_net: instance \"u1\" already drives a net",
+              driven_by (pin "u1" "y") "x" );
+            ( "unknown load instance",
+              "Design.add_net: unknown instance \"ghost\"",
+              primary [ pin "ghost" "a" ] "x" );
+            ( "missing input pin",
+              "Design.add_net: \"u1\" has no input pin \"zz\" (cell probe)",
+              primary [ pin "u1" "zz" ] "x" );
+            ( "pin loaded twice",
+              "Design.add_net: pin u2/a already loaded by net \"n1\"",
+              primary [ pin "u2" "a" ] "x" );
+            ( "unknown primary output",
+              "Design.mark_primary_output: unknown net \"zz\"",
+              fun () -> Sta.Design.mark_primary_output (chain ()) "zz" );
+          ]);
+    Alcotest.test_case "failed add_net keeps what it checked" `Quick (fun () ->
+        (* the driver and the loads before the bad one stay claimed *)
+        let d = Sta.Design.create probe_lib in
+        List.iter (fun n -> Sta.Design.add_instance d ~cell:"probe" n) [ "u1"; "u2"; "u3" ];
+        check_invalid "bad load" (fun () ->
+            Sta.Design.add_net d
+              ~driver:(Sta.Design.Cell_output (pin "u1" "y"))
+              ~loads:[ pin "u2" "a"; pin "ghost" "a"; pin "u3" "a" ]
+              "half");
+        check_bool "net not added" true
+          (match Sta.Design.net d "half" with _ -> false | exception Not_found -> true);
+        let message f = match f () with _ -> "" | exception Invalid_argument m -> m in
+        check_string "driver claimed" "Design.add_net: instance \"u1\" already drives a net"
+          (message (fun () ->
+               Sta.Design.add_net d ~driver:(Sta.Design.Cell_output (pin "u1" "y")) ~loads:[] "n"));
+        check_string "first load claimed"
+          "Design.add_net: pin u2/a already loaded by net \"half\""
+          (message (fun () ->
+               Sta.Design.add_net d ~driver:(Sta.Design.Primary unit_drive)
+                 ~loads:[ pin "u2" "a" ] "n"));
+        Sta.Design.add_net d ~driver:(Sta.Design.Primary unit_drive) ~loads:[ pin "u3" "a" ] "n";
+        Alcotest.(check (list string))
+          "check"
+          [ "input pin u1/a is unconnected"; "output of instance u2 drives nothing";
+            "output of instance u3 drives nothing" ]
+          (Sta.Design.check d));
+    Alcotest.test_case "repeated output kept once, first-marking order" `Quick (fun () ->
+        let d = chain () in
+        Sta.Design.add_net d ~driver:(Sta.Design.Primary unit_drive) ~loads:[] "spare";
+        List.iter (Sta.Design.mark_primary_output d) [ "n1"; "n2"; "n1"; "spare"; "n2" ];
+        Alcotest.(check (list string))
+          "outputs" [ "n2"; "n1"; "spare" ] (Sta.Design.primary_outputs d));
+    Alcotest.test_case "check list is pinned" `Quick (fun () ->
+        let d = Sta.Design.create lib in
+        List.iter
+          (fun (cell, name) -> Sta.Design.add_instance d ~cell name)
+          [ ("nand2", "g2"); ("inv1", "g1"); ("nand2", "g0"); ("inv1", "g3") ];
+        Sta.Design.add_net d ~driver:(Sta.Design.Primary unit_drive)
+          ~loads:[ pin "g2" "b"; pin "g1" "a" ] "pi";
+        Sta.Design.add_net d ~driver:(Sta.Design.Cell_output (pin "g1" "y")) ~loads:[] "dangling";
+        Sta.Design.add_net d ~driver:(Sta.Design.Cell_output (pin "g2" "y")) ~loads:[] "seen";
+        Sta.Design.add_net d ~driver:(Sta.Design.Primary unit_drive) ~loads:[] "idle";
+        Sta.Design.mark_primary_output d "seen";
+        Alcotest.(check (list string))
+          "problems"
+          [
+            "input pin g0/a is unconnected";
+            "input pin g0/b is unconnected";
+            "output of instance g0 drives nothing";
+            "input pin g2/a is unconnected";
+            "input pin g3/a is unconnected";
+            "output of instance g3 drives nothing";
+            "net dangling has no loads and is not a primary output";
+            "net idle has no loads and is not a primary output";
+          ]
+          (Sta.Design.check d));
   ]
 
 let graph_tests =
@@ -188,6 +288,75 @@ let graph_tests =
         Sta.Design.mark_primary_output d "po";
         let levels = Sta.Graph.levels (Sta.Graph.of_design d) in
         check_int "join depth" 2 (List.assoc "join" levels));
+    Alcotest.test_case "16-bit adder graph matches a reference" `Quick (fun () ->
+        let d = Sta.Generate.ripple_carry_adder ~bits:16 () in
+        let g = Sta.Graph.of_design d in
+        let names = List.map fst (Sta.Design.instances d) in
+        (* reference adjacency straight from the net list *)
+        let edges =
+          List.concat_map
+            (fun (net : Sta.Design.net) ->
+              match net.Sta.Design.driver with
+              | Sta.Design.Primary _ -> []
+              | Sta.Design.Cell_output { instance = src; _ } ->
+                  List.map (fun (l : Sta.Design.pin) -> (src, l.Sta.Design.instance)) net.loads)
+            (Sta.Design.nets d)
+        in
+        let ends keep = List.sort_uniq compare (List.filter_map keep edges) in
+        let preds n = ends (fun (a, b) -> if b = n then Some a else None) in
+        let succs n = ends (fun (a, b) -> if a = n then Some b else None) in
+        List.iter
+          (fun n ->
+            Alcotest.(check (list string)) ("preds " ^ n) (preds n) (Sta.Graph.predecessors g n);
+            Alcotest.(check (list string)) ("succs " ^ n) (succs n) (Sta.Graph.successors g n))
+          names;
+        (* reference order: Kahn's algorithm over sorted names, FIFO,
+           successors visited in sorted order *)
+        let indegree = Hashtbl.create 16 in
+        List.iter (fun n -> Hashtbl.replace indegree n (List.length (preds n))) names;
+        let rec kahn acc = function
+          | [] -> List.rev acc
+          | n :: queue ->
+              let ready =
+                List.filter
+                  (fun s ->
+                    let k = Hashtbl.find indegree s - 1 in
+                    Hashtbl.replace indegree s k;
+                    k = 0)
+                  (succs n)
+              in
+              kahn (n :: acc) (queue @ ready)
+        in
+        let order = kahn [] (List.filter (fun n -> preds n = []) names) in
+        (match Sta.Graph.topological_order g with
+        | Ok o -> Alcotest.(check (list string)) "order" order o
+        | Error _ -> Alcotest.fail "unexpected cycle");
+        let level = Hashtbl.create 16 in
+        List.iter
+          (fun n ->
+            Hashtbl.replace level n
+              (List.fold_left (fun acc p -> Int.max acc (Hashtbl.find level p + 1)) 0 (preds n)))
+          order;
+        Alcotest.(check (list (pair string int)))
+          "levels"
+          (List.map (fun n -> (n, Hashtbl.find level n)) order)
+          (Sta.Graph.levels g);
+        Alcotest.(check (list string)) "unknown" [] (Sta.Graph.predecessors g "zz"));
+    Alcotest.test_case "cycle stuck list is pinned" `Quick (fun () ->
+        let d = Sta.Design.create probe_lib in
+        List.iter (fun n -> Sta.Design.add_instance d ~cell:"probe" n) [ "c"; "b"; "a"; "z"; "q" ];
+        Sta.Design.add_net d ~driver:(Sta.Design.Cell_output (pin "a" "y")) ~loads:[ pin "b" "a" ]
+          "nab";
+        Sta.Design.add_net d ~driver:(Sta.Design.Cell_output (pin "b" "y"))
+          ~loads:[ pin "a" "a"; pin "c" "a" ] "nba";
+        Sta.Design.add_net d ~driver:(Sta.Design.Cell_output (pin "c" "y")) ~loads:[ pin "z" "a" ]
+          "ncz";
+        Sta.Design.add_net d ~driver:(Sta.Design.Primary unit_drive) ~loads:[ pin "q" "a" ] "pq";
+        let g = Sta.Graph.of_design d in
+        (match Sta.Graph.topological_order g with
+        | Error stuck -> Alcotest.(check (list string)) "stuck" [ "a"; "b"; "c"; "z" ] stuck
+        | Ok _ -> Alcotest.fail "cycle not detected");
+        check_invalid "levels" (fun () -> Sta.Graph.levels g));
   ]
 
 let netdelay_tests =
@@ -261,6 +430,202 @@ let netdelay_tests =
     Alcotest.test_case "sink labels" `Quick (fun () ->
         check_string "label" "u1/a" (Sta.Netdelay.sink_label (pin "u1" "a")));
   ]
+
+(* --- a naive oracle for the propagation ------------------------------ *)
+
+(* a 32-bit adder re-wired net by net with seeded wires of every shape,
+   a buffer broadcasting to 72 inverters whose outputs are loadless
+   endpoints, and a nand2 with one input left open *)
+let oracle_design () =
+  let st = Random.State.make [| 20260 |] in
+  let open Sta.Design in
+  let base = Sta.Generate.ripple_carry_adder ~bits:32 () in
+  let d = create lib in
+  List.iter
+    (fun (inst, cell) -> add_instance d ~cell:cell.Sta.Celllib.cell_name inst)
+    (instances base);
+  let wire () =
+    let resistance = 50. +. Random.State.float st 450. in
+    let capacitance = 1e-14 +. Random.State.float st 9e-14 in
+    match Random.State.int st 5 with
+    | 0 -> Line { resistance; capacitance }
+    | 1 -> Daisy { resistance; capacitance }
+    | 2 -> Star { resistance; capacitance }
+    | 3 -> Lumped capacitance
+    | _ -> Direct
+  in
+  List.iter
+    (fun (net : net) -> add_net d ~wire:(wire ()) ~driver:net.driver ~loads:net.loads net.net_name)
+    (nets base);
+  List.iter (mark_primary_output d) (primary_outputs base);
+  add_instance d ~cell:"buf4" "bc_buf";
+  add_instance d ~cell:"nand2" "lonely";
+  add_net d ~wire:(wire ()) ~driver:(Primary Tech.Mosfet.paper_superbuffer)
+    ~loads:[ pin "bc_buf" "a"; pin "lonely" "a" ] "bc_in";
+  let loads =
+    List.init 72 (fun j ->
+        let inv = Printf.sprintf "bc_l%d" j in
+        add_instance d ~cell:"inv1" inv;
+        pin inv "a")
+  in
+  add_net d ~wire:(wire ()) ~driver:(Cell_output (pin "bc_buf" "y")) ~loads "bc";
+  List.iter
+    (fun (p : pin) ->
+      let net = p.instance ^ "_y" in
+      add_net d ~wire:(wire ()) ~driver:(Cell_output (pin p.instance "y")) ~loads:[] net;
+      mark_primary_output d net)
+    (pin "lonely" "a" :: loads);
+  d
+
+let same_bits msg (a : Sta.Analysis.window) (b : Sta.Analysis.window) =
+  let bits (w : Sta.Analysis.window) =
+    Printf.sprintf "%h/%h" w.Sta.Analysis.early w.Sta.Analysis.late
+  in
+  check_string msg (bits a) (bits b)
+
+(* the propagation written out recursively over names, from the
+   per-net views of Netdelay and the cell's intrinsic + k * C_load *)
+let check_against_oracle d ~input_arrivals m =
+  let open Sta.Analysis in
+  let r = run_exn ~mode:m ~input_arrivals d in
+  let zero = { early = 0.; late = 0. } in
+  let add a b = { early = a.early +. b.early; late = a.late +. b.late } in
+  let memo tbl f key =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+        let v = f key in
+        Hashtbl.replace tbl key v;
+        v
+  in
+  let feeding = Hashtbl.create 16 in
+  List.iter
+    (fun (net : Sta.Design.net) ->
+      List.iter
+        (fun (p : Sta.Design.pin) -> Hashtbl.replace feeding (p.instance, p.pin) net.net_name)
+        net.loads)
+    (Sta.Design.nets d);
+  let sink_window net_name (p : Sta.Design.pin) =
+    let net = Sta.Design.net d net_name in
+    let s =
+      List.find
+        (fun (s : Sta.Netdelay.sink_delay) -> s.sink = p)
+        (Sta.Netdelay.sink_delays ~threshold:0.5 d net)
+    in
+    match m with
+    | Bounds_mode -> { early = fst s.window; late = snd s.window }
+    | Elmore_mode -> { early = s.elmore; late = s.elmore }
+  in
+  let far_end net_name =
+    let net = Sta.Design.net d net_name in
+    match m with
+    | Bounds_mode ->
+        let lo, hi = Sta.Netdelay.worst_window ~threshold:0.5 d net in
+        { early = lo; late = hi }
+    | Elmore_mode ->
+        let tree = Sta.Netdelay.tree_of_net d net in
+        let e = Rctree.Moments.elmore tree ~output:(snd (List.hd (Rctree.Tree.outputs tree))) in
+        { early = e; late = e }
+  in
+  let launches = Hashtbl.create 16 and pins = Hashtbl.create 16 and outs = Hashtbl.create 16 in
+  let rec launch net_name =
+    memo launches
+      (fun net_name ->
+        match (Sta.Design.net d net_name).driver with
+        | Sta.Design.Primary _ ->
+            let at = Option.value (List.assoc_opt net_name input_arrivals) ~default:0. in
+            { early = at; late = at }
+        | Sta.Design.Cell_output { instance; _ } -> snd (output instance))
+      net_name
+  and pin_arr (p : Sta.Design.pin) =
+    memo pins
+      (fun (p : Sta.Design.pin) ->
+        let net = Hashtbl.find feeding (p.instance, p.pin) in
+        add (launch net) (sink_window net p))
+      p
+  (* (critical input, output window) *)
+  and output instance =
+    memo outs
+      (fun instance ->
+        let cell = Sta.Design.cell_of d instance in
+        let ws =
+          List.map
+            (fun (p, _) ->
+              ( p,
+                if Hashtbl.mem feeding (instance, p) then pin_arr (pin instance p) else zero ))
+            cell.Sta.Celllib.inputs
+        in
+        let crit, worst =
+          List.fold_left
+            (fun ((_, b) as best) ((_, w) as c) -> if w.late > b.late then c else best)
+            (List.hd ws) (List.tl ws)
+        in
+        let earliest = List.fold_left (fun acc (_, w) -> Float.min acc w.early) worst.early ws in
+        let load =
+          match Sta.Design.net_driven_by d instance with
+          | Some net -> Sta.Netdelay.load_capacitance d net
+          | None -> 0.
+        in
+        let delay =
+          cell.Sta.Celllib.intrinsic_delay +. (cell.Sta.Celllib.delay_per_farad *. load)
+        in
+        (crit, { early = earliest +. delay; late = worst.late +. delay }))
+      instance
+  in
+  let endpoint net_name =
+    match (Sta.Design.net d net_name).loads with
+    | [] -> (add (launch net_name) (far_end net_name), None)
+    | first :: rest ->
+        List.fold_left
+          (fun ((best, _) as acc) p ->
+            let w = pin_arr p in
+            if best.late >= w.late then acc else (w, Some p))
+          (pin_arr first, Some first) rest
+  in
+  let rec path net_name sink steps =
+    let arrival = match sink with Some p -> pin_arr p | None -> fst (endpoint net_name) in
+    let steps = Through_net { net = net_name; launch = launch net_name; arrival } :: steps in
+    match (Sta.Design.net d net_name).driver with
+    | Sta.Design.Primary _ -> steps
+    | Sta.Design.Cell_output { instance; _ } ->
+        let input, out = output instance in
+        let cell = (Sta.Design.cell_of d instance).Sta.Celllib.cell_name in
+        let steps = Through_cell { instance; cell; input; output = out } :: steps in
+        if Hashtbl.mem feeding (instance, input) then
+          path (Hashtbl.find feeding (instance, input)) (Some (pin instance input)) steps
+        else steps
+  in
+  let step_string = function
+    | Through_net { net; launch; arrival } ->
+        Printf.sprintf "net %s %h %h %h %h" net launch.early launch.late arrival.early arrival.late
+    | Through_cell { instance; cell; input; output } ->
+        Printf.sprintf "cell %s %s %s %h %h" instance cell input output.early output.late
+  in
+  List.iter
+    (fun (net : Sta.Design.net) ->
+      same_bits ("launch " ^ net.net_name) (launch net.net_name) (net_launch r net.net_name);
+      List.iter
+        (fun (p : Sta.Design.pin) ->
+          same_bits ("pin " ^ Sta.Netdelay.sink_label p) (pin_arr p) (pin_arrival r p))
+        net.loads)
+    (Sta.Design.nets d);
+  List.iter
+    (fun (name, _) -> same_bits ("output " ^ name) (snd (output name)) (output_arrival r name))
+    (Sta.Design.instances d);
+  let pos = Sta.Design.primary_outputs d in
+  List.iter
+    (fun po ->
+      same_bits ("endpoint " ^ po) (fst (endpoint po)) (endpoint_arrival r po);
+      let sink = snd (endpoint po) in
+      Alcotest.(check (list string))
+        ("path " ^ po)
+        (List.map step_string (path po sink []))
+        (List.map step_string (critical_path r po)))
+    pos;
+  Alcotest.(check (list string)) "endpoint order" pos (List.map fst (endpoints r));
+  let period = List.fold_left (fun acc po -> Float.max acc (fst (endpoint po)).late) 0. pos in
+  check_string "required period" (Printf.sprintf "%h" period)
+    (Printf.sprintf "%h" (required_period r))
 
 let analysis_tests =
   [
@@ -423,6 +788,27 @@ let analysis_tests =
         check_bool "mode" true (contains text "Penfield-Rubinstein");
         check_bool "endpoint" true (contains text "n2");
         check_bool "verdict" true (contains text "PASS"));
+    Alcotest.test_case "matches a naive string-keyed oracle bit for bit" `Quick (fun () ->
+        let d = oracle_design () in
+        let input_arrivals = [ ("a3", 2e-10); ("cin", 5e-11); ("bc_in", 1e-10) ] in
+        List.iter (fun mode -> check_against_oracle d ~input_arrivals mode)
+          [ Sta.Analysis.Bounds_mode; Sta.Analysis.Elmore_mode ]);
+    Alcotest.test_case "queries on unknown names raise Not_found" `Quick (fun () ->
+        let d = oracle_design () in
+        let r = Sta.Analysis.run_exn d in
+        let not_found what f =
+          check_bool what true (match f () with _ -> false | exception Not_found -> true)
+        in
+        not_found "launch of unknown net" (fun () -> Sta.Analysis.net_launch r "zz");
+        not_found "unknown instance" (fun () -> Sta.Analysis.output_arrival r "zz");
+        not_found "unloaded pin" (fun () -> Sta.Analysis.pin_arrival r (pin "lonely" "b"));
+        not_found "pin of unknown instance" (fun () -> Sta.Analysis.pin_arrival r (pin "zz" "a"));
+        not_found "unknown pin name" (fun () -> Sta.Analysis.pin_arrival r (pin "lonely" "zz"));
+        not_found "endpoint: unknown net" (fun () -> Sta.Analysis.endpoint_arrival r "zz");
+        not_found "endpoint: not a primary output" (fun () ->
+            Sta.Analysis.endpoint_arrival r "c5");
+        not_found "path: not a primary output" (fun () -> Sta.Analysis.critical_path r "c5");
+        not_found "path: unknown net" (fun () -> Sta.Analysis.critical_path r "zz"));
   ]
 
 (* --- Netlist_io ----------------------------------------------------- *)
