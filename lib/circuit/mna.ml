@@ -48,6 +48,11 @@ let of_tree ?cap_floor tree =
               (Printf.sprintf "Mna.of_tree: node %S connects through zero resistance"
                  (Rctree.Tree.node_name tree id));
           let cond = 1. /. r in
+          (* a non-finite entry would turn every answer into NaN *)
+          if not (Float.is_finite cond) then
+            invalid_arg
+              (Printf.sprintf "Mna.of_tree: node %S has a resistance too small for a finite 1/R"
+                 (Rctree.Tree.node_name tree id));
           let p = match Rctree.Tree.parent tree id with Some p -> p | None -> assert false in
           Numeric.Matrix.add_entry g row row cond;
           if p = input then b.(row) <- b.(row) +. cond

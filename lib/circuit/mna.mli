@@ -28,7 +28,8 @@ val of_tree : ?cap_floor:float -> Rctree.Tree.t -> system
 
     Raises [Invalid_argument] when the tree still contains distributed
     lines or a zero-resistance edge (which would make [G] infinite —
-    merge such nodes first). *)
+    merge such nodes first), or a resistance so small that [1/R] is not
+    finite. *)
 
 val c_matrix : system -> Numeric.Matrix.t
 (** The diagonal [C] as a full matrix, for the ODE steppers. *)

@@ -23,9 +23,10 @@
    environment variable enables metrics collection without flags.
 
    Exit codes: 0 success, 1 run-time failure (including a failed
-   certification), 2 bad input — a deck or netlist that does not parse
-   or elaborate, a deck value or a flag the analysis rejects,
-   or a time grid above Circuit.Large.max_grid_values. *)
+   certification), 2 bad input — a command line that does not parse, a
+   deck or netlist that does not parse or elaborate, a deck value or a
+   flag the analysis rejects, or a time grid above
+   Circuit.Large.max_grid_values.  125 is an internal error. *)
 
 let load_tree path =
   match Spice.Parser.parse_file path with
@@ -1092,4 +1093,8 @@ let main =
       cmd_selfcheck;
     ]
 
-let run argv = Cmd.eval' ~argv main
+(* a command line cmdliner cannot parse (an unknown flag, a missing
+   argument or subcommand) is bad input like any other: exit 2 *)
+let run argv =
+  let code = Cmd.eval' ~argv main in
+  if code = Cmd.Exit.cli_error then 2 else code

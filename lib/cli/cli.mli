@@ -2,8 +2,9 @@
     can drive every subcommand in-process.
 
     [run argv] evaluates the command line (argv.(0) is the program
-    name) and returns the intended exit code: 0 on success, 1 when a
-    check fails or an input is unusable, 124/125 for cmdliner-level
-    errors. *)
+    name) and returns the intended exit code: 0 on success, 1 on a
+    run-time failure such as a failed check, 2 on bad input (a command
+    line, deck or value that is rejected) and 125 on an internal
+    error. *)
 
 val run : string array -> int

@@ -9,27 +9,33 @@ type flat = { parents : int array; resistance : float array; capacitance : float
    - [kinds]: the kind of that edge, one byte: 'I' input, 'R' resistor,
      'U' distributed line;
    - [line_c]: the line's capacitance ('U' edges), 0 otherwise;
-   - [names]: the explicit name, or [unnamed] for the default "n<id>";
-   - CSR children: the children of [i] are
-     [child_ids.(child_start.(i)) .. child_ids.(child_start.(i + 1) - 1)]
-     in ascending id, which is insertion order. *)
+   - [names]: the explicit name, or [unnamed] for the default "n<id>".
+   Both are [[||]] in a tree without lines or explicit names.
+   The first [children] call indexes the children in CSR form [(start, ids)]:
+   those of [i] are [ids.(start.(i)) .. ids.(start.(i + 1) - 1)], in insertion order. *)
 type t = {
   name : string;
   flat : flat;
   kinds : string;
   line_c : float array;
   names : string array;
-  child_start : int array;
-  child_ids : int array;
+  children_index : (int array * int array) option Atomic.t;
+      (* not a [Lazy.t], which raises if two domains force it at once *)
   outputs : (string * node_id) list;
 }
+
+let m_children_indexes = Obs.Counter.make "rctree.children_indexes"
 
 (* the placeholder of a node without an explicit name, told apart from
    any caller's string (even an empty one) by physical equality *)
 let unnamed = String.make 0 ' '
 
 let default_name id = "n" ^ string_of_int id
-let name_in names id = if names.(id) == unnamed then default_name id else names.(id)
+
+let name_in names id =
+  if Array.length names > 0 && names.(id) != unnamed then names.(id)
+  else if id = 0 then "in"
+  else default_name id
 
 module Builder = struct
   type t = {
@@ -50,16 +56,14 @@ module Builder = struct
 
   let create ?(name = "rc-tree") () =
     let size = 8 in
-    let names = Array.make size unnamed in
-    names.(0) <- "in";
     {
       tree_name = name;
       parents = Array.make size (-1);
       kinds = Bytes.make size 'I';
       r = Array.make size 0.;
-      line_c = Array.make size 0.;
+      line_c = [||];
       caps = Array.make size 0.;
-      names;
+      names = [||];
       count = 1;
       outs = [];
       seen = None;
@@ -81,19 +85,24 @@ module Builder = struct
       b.parents <- extend b.parents (-1);
       b.kinds <- Bytes.extend b.kinds 0 b.count;
       b.r <- extend b.r 0.;
-      b.line_c <- extend b.line_c 0.;
+      if Array.length b.line_c > 0 then b.line_c <- extend b.line_c 0.;
       b.caps <- extend b.caps 0.;
-      b.names <- extend b.names unnamed
+      if Array.length b.names > 0 then b.names <- extend b.names unnamed
     end
 
-  let add_edge b ~parent ~name kind r line_c =
+  (* [names] and [line_c] are made on first use, at the builder's capacity *)
+  let named b =
+    if Array.length b.names = 0 then
+      b.names <- Array.init (Array.length b.parents) (fun i -> if i = 0 then "in" else unnamed);
+    b.names
+
+  let add_edge b ~parent ~name kind r =
     grow b;
     let id = b.count in
     b.parents.(id) <- parent;
     Bytes.set b.kinds id kind;
     b.r.(id) <- r;
-    b.line_c.(id) <- line_c;
-    b.names.(id) <- (match name with Some n -> n | None -> unnamed);
+    (match name with Some n -> (named b).(id) <- n | None -> ());
     b.count <- id + 1;
     id
 
@@ -102,11 +111,19 @@ module Builder = struct
     match element with
     | Element.Capacitor _ ->
         invalid_arg "Tree.Builder.add_node: capacitance belongs to nodes, use add_capacitance"
-    | Element.Resistor r -> add_edge b ~parent ~name 'R' r 0.
+    | Element.Resistor r -> add_edge b ~parent ~name 'R' r
     | Element.Line { resistance; capacitance } ->
-        add_edge b ~parent ~name 'U' resistance capacitance
+        let id = add_edge b ~parent ~name 'U' resistance in
+        if Array.length b.line_c = 0 then b.line_c <- Array.make (Array.length b.parents) 0.;
+        b.line_c.(id) <- capacitance;
+        id
 
-  let add_resistor b ~parent ?name r = add_node b ~parent ?name (Element.resistor r)
+  (* [Element.resistor]'s check and message, without boxing the value *)
+  let add_resistor b ~parent ?name r =
+    if r < 0. || not (Float.is_finite r) then
+      invalid_arg "Element.resistor: value must be finite and non-negative";
+    check_node b parent "add_node";
+    add_edge b ~parent ~name 'R' r
 
   let add_capacitance b id c =
     check_node b id "add_capacitance";
@@ -142,35 +159,17 @@ module Builder = struct
       | None -> ()
     end
 
-  (* copies, so the builder stays usable; then children in CSR form by
-     one counting pass in ascending id *)
+  (* copies, so the builder stays usable *)
   let finish b =
-    let n = b.count in
-    let parents = Array.sub b.parents 0 n in
-    let child_start = Array.make (n + 1) 0 in
-    for id = 1 to n - 1 do
-      let slot = parents.(id) + 1 in
-      child_start.(slot) <- child_start.(slot) + 1
-    done;
-    for i = 1 to n do
-      child_start.(i) <- child_start.(i) + child_start.(i - 1)
-    done;
-    let next = Array.sub child_start 0 n in
-    let child_ids = Array.make (n - 1) 0 in
-    for id = 1 to n - 1 do
-      let p = parents.(id) in
-      child_ids.(next.(p)) <- id;
-      next.(p) <- next.(p) + 1
-    done;
+    let sub a = Array.sub a 0 b.count in
+    let used a = if Array.length a = 0 then [||] else sub a in
     {
       name = b.tree_name;
-      flat =
-        { parents; resistance = Array.sub b.r 0 n; capacitance = Array.sub b.caps 0 n };
-      kinds = Bytes.sub_string b.kinds 0 n;
-      line_c = Array.sub b.line_c 0 n;
-      names = Array.sub b.names 0 n;
-      child_start;
-      child_ids;
+      flat = { parents = sub b.parents; resistance = sub b.r; capacitance = sub b.caps };
+      kinds = Bytes.sub_string b.kinds 0 b.count;
+      line_c = used b.line_c;
+      names = used b.names;
+      children_index = Atomic.make None;
       outputs = List.rev b.outs;
     }
 end
@@ -198,11 +197,38 @@ let capacitance t id =
   check t id "capacitance";
   t.flat.capacitance.(id)
 
+(* one counting pass in ascending id; a race builds it twice, harmlessly *)
+let children_index t =
+  match Atomic.get t.children_index with
+  | Some csr -> csr
+  | None ->
+      Obs.Counter.incr m_children_indexes;
+      let parents = t.flat.parents in
+      let n = Array.length parents in
+      let start = Array.make (n + 1) 0 in
+      for id = 1 to n - 1 do
+        let slot = parents.(id) + 1 in
+        start.(slot) <- start.(slot) + 1
+      done;
+      for i = 1 to n do
+        start.(i) <- start.(i) + start.(i - 1)
+      done;
+      let next = Array.sub start 0 n in
+      let ids = Array.make (n - 1) 0 in
+      for id = 1 to n - 1 do
+        let p = parents.(id) in
+        ids.(next.(p)) <- id;
+        next.(p) <- next.(p) + 1
+      done;
+      Atomic.set t.children_index (Some (start, ids));
+      (start, ids)
+
 let children t id =
   check t id "children";
-  let first = t.child_start.(id) in
-  let rec collect i acc = if i < first then acc else collect (i - 1) (t.child_ids.(i) :: acc) in
-  collect (t.child_start.(id + 1) - 1) []
+  let start, ids = children_index t in
+  let first = start.(id) in
+  let rec collect i acc = if i < first then acc else collect (i - 1) (ids.(i) :: acc) in
+  collect (start.(id + 1) - 1) []
 
 let node_name t id =
   check t id "node_name";
@@ -213,10 +239,11 @@ let find_node t n =
      compares strings without making a name per node *)
   let default_id =
     let len = String.length n in
-    if len < 2 || n.[0] <> 'n' then -1
+    if String.equal n "in" then 0
+    else if len < 2 || n.[0] <> 'n' then -1
     else
       match int_of_string_opt (String.sub n 1 (len - 1)) with
-      | Some k when String.equal (default_name k) n -> k
+      | Some k when k > 0 && String.equal (default_name k) n -> k
       | Some _ | None -> -1
   in
   let rec scan i =
@@ -225,7 +252,9 @@ let find_node t n =
       let s = t.names.(i) in
       if (if s == unnamed then i = default_id else String.equal s n) then Some i else scan (i + 1)
   in
-  scan 0
+  if Array.length t.names > 0 then scan 0
+  else if default_id >= 0 && default_id < node_count t then Some default_id
+  else None
 
 let outputs t = t.outputs
 let output_named t label = List.assoc label t.outputs
@@ -239,7 +268,8 @@ let depth t id =
 let total_capacitance t =
   let acc = ref 0. in
   for i = 0 to node_count t - 1 do
-    acc := !acc +. t.flat.capacitance.(i) +. t.line_c.(i)
+    let line = if Array.length t.line_c = 0 then 0. else t.line_c.(i) in
+    acc := !acc +. t.flat.capacitance.(i) +. line
   done;
   !acc
 

@@ -14,9 +14,11 @@
     them when a simulation needs a finite state space.
 
     The frozen form is flat: parallel arrays indexed by node id
-    (parents, series resistances, capacitances, an edge-kind byte)
-    and the children in compressed (CSR) form.  Default names
-    ["n<id>"] are not stored; {!node_name} makes them on demand. *)
+    (parents, series resistances, capacitances, an edge-kind byte).
+    Line capacitances and explicit names are stored only in a tree
+    that has some; default names ["n<id>"] are never stored, and
+    {!node_name} makes them on demand.  The children are indexed on
+    the first {!children} call, which is safe from several domains. *)
 
 type node_id = int
 

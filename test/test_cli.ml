@@ -345,6 +345,29 @@ let tests =
           "cell inv1 u1\ninput a drive=1e308:1e308 wire=line:1e308,1e308 loads=u1/a\n\
            net y driver=u1/y loads=\noutput y\n"
           "Times.make: values must be finite and non-negative");
+    Alcotest.test_case "simulate: non-finite 1/R exits 2, not NaN" `Quick (fun () ->
+        with_deck "V1 in 0 1\nR1 in out 5e-324\nC1 out 0 1p\n.output out\n.end\n" (fun path ->
+            let code, out = run [ "simulate"; path; "--t-end"; "5e-9" ] in
+            check_int "exit" 2 code;
+            check_bool "located" true (contains out (path ^ ": Mna.of_tree: node \"out\" has"));
+            check_bool "says why" true (contains out "a resistance too small for a finite 1/R");
+            check_bool "prints no nan" false (contains out "nan")));
+    Alcotest.test_case "command-line usage errors exit 2 with cmdliner's message" `Quick
+      (fun () ->
+        with_fig7_deck (fun deck ->
+            List.iter
+              (fun (args, expected) ->
+                let what = String.concat " " args in
+                let code, out = run args in
+                check_int (what ^ " exit") 2 code;
+                check_bool (what ^ " message") true (contains out expected))
+              [
+                ([ "times"; "--bogus"; deck ], "unknown option '--bogus'");
+                ([ "simulate"; deck ], "required option --t-end is missing");
+                ([ "times"; deck; "extra" ], "too many arguments");
+                ([], "required COMMAND name is missing");
+              ];
+            check_int "--help" 0 (fst (run [ "times"; "--help=plain" ]))));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

@@ -281,6 +281,18 @@ let solver_stats_tests =
             Sys.remove path;
             check_bool "file parse" true (Result.is_ok parsed);
             check_int "one more for the file" 2 (Obs.Span.calls "sta.parse")));
+    Alcotest.test_case "a tree indexes its children once, and only when asked" `Quick (fun () ->
+        with_metrics (fun () ->
+            let counter () =
+              Option.value (List.assoc_opt "rctree.children_indexes" (Obs.counters ())) ~default:0
+            in
+            let tree = Circuit.Large.rc_chain ~sections:50 ~r:10. ~c:1e-13 in
+            let (_ : (int * Circuit.Waveform.t) list) =
+              Circuit.Large.step_response tree ~dt:1e-12 ~t_end:1e-11 ~outputs:[ 50 ]
+            in
+            check_int "stepping builds none" 0 (counter ());
+            List.iter (fun id -> ignore (Rctree.Tree.children tree id : int list)) [ 0; 25; 50 ];
+            check_int "three calls, one index" 1 (counter ())));
   ]
 
 let () =

@@ -364,7 +364,7 @@ let tree_tests =
         let t2 = Builder.finish b in
         check_int "t1 frozen" 2 (node_count t1);
         check_int "t2 grew" 3 (node_count t2));
-    Alcotest.test_case "default-named chain takes at most 8 words per node" `Quick (fun () ->
+    Alcotest.test_case "default-named chain takes at most 4 words per node" `Quick (fun () ->
         let b = Builder.create () in
         let at = ref (Builder.input b) in
         for _ = 1 to 100_000 do
@@ -376,7 +376,7 @@ let tree_tests =
         let per_node =
           float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int (node_count t)
         in
-        check_bool (Printf.sprintf "%.2f words per node" per_node) true (per_node <= 8.);
+        check_bool (Printf.sprintf "%.2f words per node" per_node) true (per_node <= 4.);
         check_string "default name" "n70000" (node_name t 70_000));
     Alcotest.test_case "find_node: lowest id, no name made per node" `Quick (fun () ->
         let b = Builder.create () in
@@ -776,6 +776,171 @@ let api_tests =
         check_float "elmore" 363. (Rctree.elmore_delay t ~output:e));
   ]
 
+(* --- Lean tree layout ----------------------------------------------------- *)
+
+(* A tree stores names and line capacitances only once it has some, and
+   indexes children on first use; none of that may show in a query. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_element (a : Rctree.Element.t option) (b : Rctree.Element.t option) =
+  match (a, b) with
+  | None, None -> true
+  | Some (Resistor x), Some (Resistor y) -> same_bits x y
+  | Some (Line x), Some (Line y) ->
+      same_bits x.resistance y.resistance && same_bits x.capacitance y.capacitance
+  | _ -> false
+
+(* [n] nodes under random earlier parents; the edge to node [k] is a line
+   when [line k].  Returns the tree and, per node, the element and the
+   lumped capacitance the builder was given. *)
+let random_tree ~seed ~n ~line =
+  let open Rctree.Tree.Builder in
+  let st = Random.State.make [| seed |] in
+  let b = create () in
+  let elements = Array.make n None and caps = Array.make n 0. in
+  for k = 1 to n - 1 do
+    let parent = Random.State.int st k in
+    let r = 0.5 +. Random.State.float st 10. in
+    let id =
+      if line k then begin
+        let c = 0.5 +. Random.State.float st 3. in
+        elements.(k) <- Some (Rctree.Element.Line { resistance = r; capacitance = c });
+        add_line b ~parent r c
+      end
+      else begin
+        elements.(k) <- Some (Rctree.Element.Resistor r);
+        add_resistor b ~parent r
+      end
+    in
+    assert (id = k);
+    caps.(k) <- Random.State.float st 2.;
+    add_capacitance b k caps.(k)
+  done;
+  (finish b, elements, caps)
+
+let layout_tests =
+  let open Rctree.Tree in
+  [
+    Alcotest.test_case "no explicit names: defaults, lookups and output labels" `Quick (fun () ->
+        let b = Builder.create () in
+        let at = ref (Builder.input b) in
+        for _ = 1 to 49 do
+          at := Builder.add_resistor b ~parent:!at 1.
+        done;
+        Builder.mark_output b 7;
+        Builder.mark_output b (Builder.input b);
+        let t = Builder.finish b in
+        check_string "input" "in" (node_name t 0);
+        for k = 1 to 49 do
+          let name = Printf.sprintf "n%d" k in
+          check_string "default" name (node_name t k);
+          check_bool name true (find_node t name = Some k)
+        done;
+        check_bool "in" true (find_node t "in" = Some 0);
+        List.iter
+          (fun missing -> check_bool missing true (find_node t missing = None))
+          [ "n0"; "n50"; "n07"; "n-1"; "n"; ""; "zz" ];
+        Alcotest.(check (list (pair string int))) "labels" [ ("n7", 7); ("in", 0) ] (outputs t));
+    Alcotest.test_case "a first name after several doublings keeps earlier defaults" `Quick
+      (fun () ->
+        let b = Builder.create () in
+        for k = 1 to 100 do
+          ignore (Builder.add_resistor b ~parent:(k - 1) 1. : node_id)
+        done;
+        let late = Builder.add_resistor b ~parent:100 ~name:"late" 1. in
+        let after = Builder.add_resistor b ~parent:late 1. in
+        Builder.mark_output b 40;
+        let t = Builder.finish b in
+        check_string "input" "in" (node_name t 0);
+        for k = 1 to 100 do
+          check_string "earlier" (Printf.sprintf "n%d" k) (node_name t k)
+        done;
+        check_string "late" "late" (node_name t late);
+        check_string "after" (Printf.sprintf "n%d" after) (node_name t after);
+        check_bool "find late" true (find_node t "late" = Some late);
+        check_bool "find n40" true (find_node t "n40" = Some 40);
+        check_bool "find in" true (find_node t "in" = Some 0);
+        check_bool "n101 is named late" true (find_node t "n101" = None);
+        Alcotest.(check (list (pair string int))) "label" [ ("n40", 40) ] (outputs t));
+    Alcotest.test_case "line-free and late-line trees answer bit for bit" `Quick (fun () ->
+        List.iter
+          (fun (what, line) ->
+            let n = 300 in
+            let t, elements, caps = random_tree ~seed:17 ~n ~line in
+            let line_c k =
+              match elements.(k) with
+              | Some (Rctree.Element.Line l) -> l.capacitance
+              | Some _ | None -> 0.
+            in
+            let total = ref 0. in
+            for k = 0 to n - 1 do
+              total := !total +. caps.(k) +. line_c k
+            done;
+            for k = 0 to n - 1 do
+              check_bool (Printf.sprintf "%s element %d" what k) true
+                (same_element elements.(k) (element t k))
+            done;
+            check_bool (what ^ " total capacitance") true (same_bits !total (total_capacitance t));
+            check_bool (what ^ " lines") (List.exists line (List.init n Fun.id))
+              (has_distributed_lines t))
+          [
+            ("line-free", fun _ -> false);
+            ("late line", fun k -> k = 77 || (k > 77 && k mod 5 = 0));
+          ]);
+    Alcotest.test_case "a name and a line added after finish stay out of the frozen tree" `Quick
+      (fun () ->
+        let open Builder in
+        let b = create ~name:"lean" () in
+        let a = add_resistor b ~parent:(input b) 2. in
+        add_capacitance b a 1.;
+        mark_output b a;
+        let t = finish b in
+        let before = Format.asprintf "%a" pp t in
+        let named = add_resistor b ~parent:a ~name:"x" 3. in
+        let wire = add_line b ~parent:named 4. 5. in
+        mark_output b wire;
+        check_string "pp" before (Format.asprintf "%a" pp t);
+        check_int "nodes" 2 (node_count t);
+        check_bool "no line" false (has_distributed_lines t);
+        check_float "total capacitance" 1. (total_capacitance t);
+        check_string "default name" "n1" (node_name t a);
+        check_bool "x absent" true (find_node t "x" = None);
+        let grown = finish b in
+        check_string "named in the new tree" "x" (node_name grown named);
+        check_string "default kept" "n1" (node_name grown a);
+        check_float "line in the new tree" 6. (total_capacitance grown));
+    Alcotest.test_case "two domains index the children alike" `Quick (fun () ->
+        let n = 20_000 in
+        let t, _, _ = random_tree ~seed:5 ~n ~line:(fun k -> k mod 97 = 0) in
+        let expected = Array.make n [] in
+        for k = n - 1 downto 1 do
+          let p = Option.get (parent t k) in
+          expected.(p) <- k :: expected.(p)
+        done;
+        let all () = Array.init n (children t) in
+        let d1 = Domain.spawn all and d2 = Domain.spawn all in
+        let c1 = Domain.join d1 and c2 = Domain.join d2 in
+        check_bool "domains agree" true (c1 = c2);
+        check_bool "as from parent" true (c1 = expected));
+    Alcotest.test_case "a bad resistor value is reported before a bad parent" `Quick (fun () ->
+        let b = Builder.create () in
+        let bad_value =
+          Invalid_argument "Element.resistor: value must be finite and non-negative"
+        in
+        List.iter
+          (fun r ->
+            Alcotest.check_raises "value, good parent" bad_value (fun () ->
+                ignore (Builder.add_resistor b ~parent:0 r : node_id));
+            Alcotest.check_raises "value first" bad_value (fun () ->
+                ignore (Builder.add_resistor b ~parent:9 r : node_id)))
+          [ -1.; Float.nan; Float.infinity ];
+        Alcotest.check_raises "then parent"
+          (Invalid_argument "Tree.Builder.add_node: unknown node 9") (fun () ->
+            ignore (Builder.add_resistor b ~parent:9 1. : node_id));
+        check_int "nothing added" 1 (node_count (Builder.finish b)));
+  ]
+
 let () =
   Alcotest.run "rctree"
     [
@@ -791,4 +956,5 @@ let () =
       ("lump", lump_tests);
       ("validate", validate_tests);
       ("api", api_tests);
+      ("layout", layout_tests);
     ]
