@@ -131,12 +131,15 @@ let simulate_cmd path t_end samples segments =
         let times =
           Array.init samples (fun i -> t_end *. float_of_int i /. float_of_int (samples - 1))
         in
-        let outs = Rctree.Tree.outputs tree in
+        (* one lumping and one decomposition serve every output *)
+        let lumped = Circuit.Measure.discretize_for_simulation ~segments tree in
+        let exact = Circuit.Exact.of_tree lumped in
         let waves =
           List.map
-            (fun (label, id) ->
-              (label, Circuit.Measure.exact_response ~segments tree ~output:id ~times))
-            outs
+            (fun (label, _) ->
+              let node = Rctree.Tree.output_named lumped label in
+              (label, Circuit.Exact.sample exact ~node ~times))
+            (Rctree.Tree.outputs tree)
         in
         print_string (String.concat "," ("t" :: List.map fst waves));
         print_newline ();

@@ -1,18 +1,20 @@
 (* Work-chunking domain pool.
 
-   One job at a time: the submitter splits [0, n) into chunks, posts
-   the job, and participates in draining it alongside the resident
-   worker domains.  Chunks are handed out through an atomic cursor, so
-   a domain that finishes early simply grabs the next chunk — cheap
-   dynamic load balancing with no per-item locking.  Results are
-   index-addressed by the caller's [run] function, which is what makes
-   every combinator deterministic: execution order varies, the
-   index→slot mapping never does. *)
+   One job at a time: the submitter splits [0, n) into chunks, spawns
+   the job's worker domains, drains the job alongside them and joins
+   them.  No worker outlives its job, so between jobs no parked domain
+   has to be woken for every stop-the-world collection.  Chunks are
+   handed out through an atomic cursor, so a domain that finishes early
+   simply grabs the next chunk — cheap dynamic load balancing with no
+   per-item locking.  Results are index-addressed by the caller's [run]
+   function, which is what makes every combinator deterministic:
+   execution order varies, the index→slot mapping never does. *)
 
 let m_jobs = Obs.Counter.make "pool.jobs"
 let m_chunks = Obs.Counter.make "pool.chunks"
 let m_tasks = Obs.Counter.make "pool.tasks"
 let m_worker_chunks = Obs.Counter.make "pool.worker_chunks"
+let m_spawned = Obs.Counter.make "pool.workers_spawned"
 let m_busy = Obs.Histogram.make "pool.domain_busy_ms"
 
 type job = {
@@ -20,22 +22,14 @@ type job = {
   n : int;
   chunk_size : int;
   cursor : int Atomic.t; (* next unclaimed index *)
-  total_chunks : int;
-  mutable completed : int; (* chunks drained; guarded by [jm] *)
   mutable failed : (int * exn * Printexc.raw_backtrace) option;
       (* lowest-index failing chunk; guarded by [jm] *)
   jm : Mutex.t;
-  done_c : Condition.t;
 }
 
 type t = {
   size : int;
-  mutable workers : unit Domain.t list;
-  mutable job : job option; (* guarded by [mu] *)
-  mutable seq : int; (* job generation, guarded by [mu] *)
-  mutable stop : bool; (* guarded by [mu] *)
-  mu : Mutex.t;
-  work_c : Condition.t;
+  stop : bool Atomic.t;
   submit_mu : Mutex.t; (* serializes concurrent submitters *)
 }
 
@@ -55,46 +49,24 @@ let execute job ~submitter =
     let lo = Atomic.fetch_and_add job.cursor job.chunk_size in
     if lo < job.n then begin
       let hi = Int.min job.n (lo + job.chunk_size) in
-      let failure =
-        match job.run lo hi with
-        | () -> None
-        | exception e -> Some (lo, e, Printexc.get_raw_backtrace ())
-      in
+      (match job.run lo hi with
+      | () -> ()
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Mutex.lock job.jm;
+          (match job.failed with
+          | Some (lo0, _, _) when lo0 <= lo -> ()
+          | Some _ | None -> job.failed <- Some (lo, e, bt));
+          Mutex.unlock job.jm);
       Obs.Counter.incr m_chunks;
       if not submitter then Obs.Counter.incr m_worker_chunks;
       Obs.Counter.add m_tasks (hi - lo);
-      Mutex.lock job.jm;
-      (match failure with
-      | Some (flo, _, _) ->
-          (match job.failed with
-          | Some (lo0, _, _) when lo0 <= flo -> ()
-          | Some _ | None -> job.failed <- failure)
-      | None -> ());
-      job.completed <- job.completed + 1;
-      if job.completed = job.total_chunks then Condition.broadcast job.done_c;
-      Mutex.unlock job.jm;
       drain ()
     end
   in
   drain ();
   flag := was;
   Obs.Histogram.observe m_busy ((Unix.gettimeofday () -. t0) *. 1e3)
-
-let worker pool () =
-  let rec loop last_seq =
-    Mutex.lock pool.mu;
-    while (not pool.stop) && pool.seq = last_seq do
-      Condition.wait pool.work_c pool.mu
-    done;
-    if pool.stop then Mutex.unlock pool.mu
-    else begin
-      let seq = pool.seq and job = pool.job in
-      Mutex.unlock pool.mu;
-      (match job with Some j -> execute j ~submitter:false | None -> ());
-      loop seq
-    end
-  in
-  loop 0
 
 let env_jobs =
   match Sys.getenv_opt "RCDELAY_JOBS" with
@@ -110,31 +82,9 @@ let default_domains () = !default_size
 let create ?domains () =
   let size = match domains with Some d -> d | None -> default_domains () in
   if size < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  let pool =
-    {
-      size;
-      workers = [];
-      job = None;
-      seq = 0;
-      stop = false;
-      mu = Mutex.create ();
-      work_c = Condition.create ();
-      submit_mu = Mutex.create ();
-    }
-  in
-  if size > 1 then pool.workers <- List.init (size - 1) (fun _ -> Domain.spawn (worker pool));
-  pool
+  { size; stop = Atomic.make false; submit_mu = Mutex.create () }
 
-let shutdown pool =
-  Mutex.lock pool.mu;
-  let already = pool.stop in
-  pool.stop <- true;
-  Condition.broadcast pool.work_c;
-  Mutex.unlock pool.mu;
-  if not already then begin
-    List.iter Domain.join pool.workers;
-    pool.workers <- []
-  end
+let shutdown pool = Atomic.set pool.stop true
 
 let with_pool ?domains f =
   let pool = create ?domains () in
@@ -147,9 +97,9 @@ let get () =
   Mutex.lock shared_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock shared_mu) @@ fun () ->
   match !shared with
-  | Some p when p.size = !default_size && not p.stop -> p
+  | Some p when p.size = !default_size && not (Atomic.get p.stop) -> p
   | prev ->
-      (match prev with Some p -> shutdown p | None -> ());
+      Option.iter shutdown prev;
       let p = create ~domains:!default_size () in
       shared := Some p;
       p
@@ -158,11 +108,24 @@ let set_default_domains j =
   if j < 1 then invalid_arg "Pool.set_default_domains: jobs must be >= 1";
   default_size := j
 
-let () = at_exit (fun () -> match !shared with Some p -> shutdown p | None -> ())
-
 (* a handful of chunks per domain balances uneven item costs without
    drowning small batches in cursor traffic *)
 let default_chunk_size n size = Int.max 1 (1 + ((n - 1) / (size * 4)))
+
+(* Up to [k] workers draining [job].  The runtime caps live domains, so
+   a spawn can fail: the workers spawned so far and the submitter then
+   drain the job without the rest. *)
+let spawn_workers job k =
+  let rec go k acc =
+    if k = 0 then acc
+    else
+      match Domain.spawn (fun () -> execute job ~submitter:false) with
+      | d ->
+          Obs.Counter.incr m_spawned;
+          go (k - 1) (d :: acc)
+      | exception _ -> acc
+  in
+  go k []
 
 let run ?pool ?chunk ~n body =
   if n > 0 then begin
@@ -180,41 +143,20 @@ let run ?pool ?chunk ~n body =
         | Some _ | None -> default_chunk_size n pool.size
       in
       let job =
-        {
-          run = body;
-          n;
-          chunk_size;
-          cursor = Atomic.make 0;
-          total_chunks = 1 + ((n - 1) / chunk_size);
-          completed = 0;
-          failed = None;
-          jm = Mutex.create ();
-          done_c = Condition.create ();
-        }
+        { run = body; n; chunk_size; cursor = Atomic.make 0; failed = None; jm = Mutex.create () }
       in
       Mutex.lock pool.submit_mu;
-      let release () =
-        Mutex.lock pool.mu;
-        pool.job <- None;
-        Mutex.unlock pool.mu;
-        Mutex.unlock pool.submit_mu
-      in
-      Fun.protect ~finally:release (fun () ->
-          Mutex.lock pool.mu;
-          if pool.stop then begin
-            Mutex.unlock pool.mu;
-            invalid_arg "Pool: pool already shut down"
-          end;
-          pool.job <- Some job;
-          pool.seq <- pool.seq + 1;
-          Condition.broadcast pool.work_c;
-          Mutex.unlock pool.mu;
-          execute job ~submitter:true;
-          Mutex.lock job.jm;
-          while job.completed < job.total_chunks do
-            Condition.wait job.done_c job.jm
-          done;
-          Mutex.unlock job.jm);
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock pool.submit_mu)
+        (fun () ->
+          if Atomic.get pool.stop then invalid_arg "Pool: pool already shut down";
+          let chunks = 1 + ((n - 1) / chunk_size) in
+          let workers = spawn_workers job (Int.min (pool.size - 1) (chunks - 1)) in
+          (* joining every worker is the completion barrier: no worker
+             can still write a result once [run] returns *)
+          Fun.protect
+            ~finally:(fun () -> List.iter Domain.join workers)
+            (fun () -> execute job ~submitter:true));
       match job.failed with
       | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ()

@@ -19,29 +19,40 @@
     - {e Re-entrancy}: calling a pool combinator from inside a pool
       task (or with a 1-domain pool) degrades to the serial path
       rather than deadlocking.
+    - {e Workers live for one job}: each parallel job spawns its
+      worker domains, drains alongside them and joins them before it
+      returns, so no domain stays parked between jobs.  OCaml 5 stops
+      every domain for each minor collection, and a parked domain
+      would have to be woken for each one.  Concurrent submitters to
+      one pool are serialized, so at most [domains] domains run a
+      pool's job at a time.
 
     The shared pool {!get} is sized by [RCDELAY_JOBS] (or the
     hardware's recommended domain count when unset) and can be resized
     with {!set_default_domains} — the CLI's [--jobs] flag does exactly
     that.  Metrics: the pool reports [pool.jobs], [pool.chunks],
-    [pool.tasks], [pool.worker_chunks] counters and a
-    [pool.domain_busy_ms] histogram through {!Obs}. *)
+    [pool.tasks], [pool.worker_chunks], [pool.workers_spawned]
+    counters and a [pool.domain_busy_ms] histogram through {!Obs}. *)
 
 type t
 
 val create : ?domains:int -> unit -> t
-(** A pool running work on [domains] domains in total: the submitting
-    domain participates, so [domains - 1] worker domains are spawned
-    (none for [domains = 1], which is a purely serial pool).
-    [domains] defaults to {!default_domains}.  Raises
+(** A pool running work on [domains] domains in total.  Creating it
+    spawns nothing.  A job of [c] chunks spawns
+    [min (domains - 1) (c - 1)] worker domains (none for
+    [domains = 1], a purely serial pool); the submitting domain drains
+    the job alongside them and returns once they are joined.  When the
+    runtime refuses a spawn, the job runs on the domains it already
+    has.  [domains] defaults to {!default_domains}.  Raises
     [Invalid_argument] when [domains < 1]. *)
 
 val domains : t -> int
 (** Total parallelism of the pool (including the submitter). *)
 
 val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent; using the pool
-    afterwards raises [Invalid_argument]. *)
+(** Mark the pool stopped; a job already running finishes.  No domain
+    outlives its job, so there is nothing to join.  Idempotent; using
+    the pool afterwards raises [Invalid_argument]. *)
 
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
@@ -58,7 +69,9 @@ val set_default_domains : int -> unit
 
 val get : unit -> t
 (** The process-wide shared pool, created on first use at
-    {!default_domains} and shut down automatically at exit. *)
+    {!default_domains}.  Like any pool it holds no domain between
+    jobs, so a process that has used it once pays nothing for it
+    afterwards. *)
 
 val parallel_for : ?pool:t -> ?chunk:int -> n:int -> (int -> unit) -> unit
 (** Run [f 0 .. f (n-1)], partitioned into chunks of [chunk] indices

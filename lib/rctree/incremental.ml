@@ -338,16 +338,15 @@ let edit_expr e edit =
 (* batch sweeps                                                     *)
 (* ---------------------------------------------------------------- *)
 
-let sweep ?pool h queries =
+(* serial: a query is an O(depth) spine re-evaluation, far cheaper
+   than spawning a domain for it *)
+let sweep h queries =
   if Obs.enabled () then Obs.Counter.incr m_sweeps;
   Obs.Span.with_ ~name:"incr.sweep" @@ fun () ->
-  Parallel.Pool.map ?pool (fun edits -> times (apply_all h edits)) queries
+  Array.map (fun edits -> times (apply_all h edits)) queries
 
-let sweep_list ?pool h queries =
-  if Obs.enabled () then Obs.Counter.incr m_sweeps;
-  Obs.Span.with_ ~name:"incr.sweep" @@ fun () ->
-  Parallel.Pool.map_list ?pool (fun edits -> times (apply_all h edits)) queries
+let sweep_list h queries = Array.to_list (sweep h (Array.of_list queries))
 
-let sweep_gen ?pool h ~n f =
+let sweep_gen h ~n f =
   if n < 0 then invalid_arg "Incremental.sweep_gen: negative query count";
-  sweep ?pool h (Array.init n f)
+  sweep h (Array.init n f)

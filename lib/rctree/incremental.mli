@@ -128,19 +128,17 @@ val path_of_string : string -> (path, string) result
 (** Inverse of {!path_to_string} (case-insensitive; [""] and ["root"]
     both mean the root). *)
 
-val sweep : ?pool:Parallel.Pool.t -> t -> edit list array -> Times.t array
+val sweep : t -> edit list array -> Times.t array
 (** One what-if query per array element: apply the edit sequence to
     the shared base handle (queries are independent, {e not}
-    cumulative) and return the resulting times.  Fans out over [pool]
-    (default: the shared {!Parallel.Pool.get}); the base handle is
-    immutable, so domains share its memo structure directly, and
-    results are bit-identical to the serial loop at any domain
-    count. *)
+    cumulative) and return the resulting times.  Runs serially: a
+    query re-evaluates one spine, which costs less than handing it to
+    another domain. *)
 
-val sweep_list : ?pool:Parallel.Pool.t -> t -> edit list list -> Times.t list
+val sweep_list : t -> edit list list -> Times.t list
 (** {!sweep} over lists. *)
 
-val sweep_gen : ?pool:Parallel.Pool.t -> t -> n:int -> (int -> edit list) -> Times.t array
+val sweep_gen : t -> n:int -> (int -> edit list) -> Times.t array
 (** Generator form: query [i] is [f i].  [f] runs in the submitting
     domain (queries are generated up front), so it need not be
     thread-safe.  Raises [Invalid_argument] on negative [n]. *)

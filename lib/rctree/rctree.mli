@@ -27,7 +27,7 @@ module Awe = Awe
 module Incremental = Incremental
 (** Memoized what-if engine: persistent zipper-addressed edits over
     {!Expr.t} re-evaluating only the spine from the edit to the root,
-    plus pool-parallel batch {!Incremental.sweep}s — bit-identical to
+    plus batch {!Incremental.sweep}s — bit-identical to
     from-scratch evaluation at every step. *)
 
 module Convert = Convert

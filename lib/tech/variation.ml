@@ -97,15 +97,16 @@ let monte_carlo ?(samples = 200) ?(seed = 42) ?(sigma_resistance = 0.08) ?(sigma
    against a shared handle.  Oxides scale thickness, capacitance goes
    as 1/thickness, hence capacitance_factor = 1 / oxide_factor. *)
 let monte_carlo_expr ?(samples = 200) ?(seed = 42) ?(sigma_resistance = 0.08)
-    ?(sigma_oxide = 0.04) ?pool base ~threshold =
+    ?(sigma_oxide = 0.04) base ~threshold =
   if samples <= 0 then invalid_arg "Variation.monte_carlo_expr: samples must be positive";
   check_fraction "monte_carlo_expr" sigma_resistance 0. 0.5;
   check_fraction "monte_carlo_expr" sigma_oxide 0. 0.5;
   Obs.Span.with_ ~name:"tech.monte_carlo_expr" @@ fun () ->
   let factors = sample_factors ~samples ~seed ~sigma_resistance ~sigma_oxide in
   let h = Rctree.Incremental.of_expr base in
+  (* serial: an O(1) trial is far cheaper than spawning a domain *)
   let windows =
-    Parallel.Pool.map ?pool
+    Array.map
       (fun (resistance_factor, oxide_factor) ->
         let ts =
           Rctree.Incremental.times_scaled h ~resistance_factor

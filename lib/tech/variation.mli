@@ -66,7 +66,6 @@ val monte_carlo_expr :
   ?seed:int ->
   ?sigma_resistance:float ->
   ?sigma_oxide:float ->
-  ?pool:Parallel.Pool.t ->
   Rctree.Expr.t ->
   threshold:float ->
   spread * spread

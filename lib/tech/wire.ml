@@ -52,7 +52,7 @@ let run_segment_leaf ~widths i =
   (* leaves in run_expr order: driver R, driver C, segments, load *)
   2 + i
 
-let sizing_sweep ?(threshold = 0.5) ?driver ?pool p ~layer ~segment_length ~load ~widths
+let sizing_sweep ?(threshold = 0.5) ?driver p ~layer ~segment_length ~load ~widths
     ~segment:seg_index ~candidates =
   Obs.Span.with_ ~name:"tech.sizing_sweep" @@ fun () ->
   let h = Rctree.Incremental.of_expr (run_expr ?driver p ~layer ~segment_length ~load ~widths) in
@@ -64,7 +64,7 @@ let sizing_sweep ?(threshold = 0.5) ?driver ?pool p ~layer ~segment_length ~load
         [ Rctree.Incremental.Replace_leaf { path; resistance = r; capacitance = c } ])
       candidates
   in
-  let ts = Rctree.Incremental.sweep ?pool h queries in
+  let ts = Rctree.Incremental.sweep h queries in
   Array.mapi
     (fun i t -> (candidates.(i), Rctree.Bounds.t_min t threshold, Rctree.Bounds.t_max t threshold))
     ts

@@ -70,7 +70,6 @@ val run_segment_leaf : widths:float array -> int -> int
 val sizing_sweep :
   ?threshold:float ->
   ?driver:Mosfet.driver ->
-  ?pool:Parallel.Pool.t ->
   Process.t ->
   layer:layer ->
   segment_length:float ->
@@ -82,7 +81,7 @@ val sizing_sweep :
 (** What-if one segment's width over [candidates], all other segments
     fixed at [widths]: [(width, t_min, t_max)] per candidate at
     [threshold] (default 0.5).  Each candidate is one [Replace_leaf]
-    edit on a shared base handle, fanned out over [pool] — results are
+    edit on a shared base handle — results are
     bit-identical to rebuilding and re-evaluating the run per
     candidate.  Raises [Invalid_argument] on a bad segment index or
     run parameters. *)

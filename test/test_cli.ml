@@ -368,6 +368,26 @@ let tests =
                 ([], "required COMMAND name is missing");
               ];
             check_int "--help" 0 (fst (run [ "times"; "--help=plain" ]))));
+    Alcotest.test_case "simulate decomposes once for three outputs" `Quick (fun () ->
+        with_deck
+          "VIN in 0\nR1 in a 15\nC1 a 0 2\nR2 a b 8\nC2 b 0 7\nU1 a e 3 4\nC3 e 0 9\n.output e\n\
+           .output b\n.output a\n.end\n"
+          (fun deck ->
+            Obs.reset ();
+            Obs.set_enabled true;
+            let code, out =
+              Fun.protect
+                ~finally:(fun () -> Obs.set_enabled false)
+                (fun () -> run [ "simulate"; deck; "--t-end"; "600"; "--samples"; "4" ])
+            in
+            check_int "exit" 0 code;
+            check_int "eigen.decompositions" 1
+              (Option.value (List.assoc_opt "eigen.decompositions" (Obs.counters ())) ~default:0);
+            (* the CSV printed when each output decomposed on its own *)
+            Alcotest.(check string)
+              "csv" "t,e,b,a\n0,-1.59316e-15,-9.9006e-16,1.02938e-16\n200,0.427196,0.385584,0.478937\n\
+                     400,0.668876,0.644108,0.698631\n600,0.808436,0.794098,0.825648\n"
+              out));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

@@ -4,11 +4,11 @@
    sequence, the memoized handle answers exactly what a from-scratch
    evaluation of the edited expression answers — compared with
    structural (=) on the float records, not with a tolerance.  On top
-   of that: sweeps are domain-count independent, the O(1) scaled query
-   agrees with re-evaluation to rounding, the Tech rewires (PLA sweep,
-   wire sizing) match their from-scratch references exactly, and the
-   Monte-Carlo numerics of Tech.Variation are unchanged (golden
-   values, fixed seed). *)
+   of that: a sweep answers each query as its own edit sequence, the
+   O(1) scaled query agrees with re-evaluation to rounding, the Tech
+   rewires (PLA sweep, wire sizing) match their from-scratch
+   references exactly, and the Monte-Carlo numerics of Tech.Variation
+   are unchanged (golden values, fixed seed). *)
 
 module I = Rctree.Incremental
 
@@ -97,8 +97,8 @@ let edit_sequence_prop =
       let ok, _, _ = !ok in
       ok)
 
-let sweep_domains_prop =
-  QCheck.Test.make ~count:25 ~name:"sweep results independent of domain count"
+let sweep_queries_prop =
+  QCheck.Test.make ~count:25 ~name:"sweep = apply_all per query"
     (QCheck.pair arb_expr QCheck.small_nat)
     (fun (e, seed) ->
       let st = Random.State.make [| 0x5ee9; seed |] in
@@ -115,11 +115,7 @@ let sweep_domains_prop =
             in
             take (1 + Random.State.int st 3) [] h)
       in
-      let serial = Array.map (fun q -> I.times (I.apply_all h q)) queries in
-      List.for_all
-        (fun domains ->
-          Parallel.Pool.with_pool ~domains (fun pool -> I.sweep ~pool h queries) = serial)
-        [ 1; 2; 4 ])
+      I.sweep h queries = Array.map (fun q -> I.times (I.apply_all h q)) queries)
 
 let close ?(rtol = 1e-9) a b = Numeric.Float_cmp.approx_eq ~rtol ~atol:1e-12 a b
 
@@ -310,7 +306,7 @@ let () =
       ( "properties",
         to_alcotest
           [
-            edit_sequence_prop; sweep_domains_prop; times_scaled_prop; balanced_cascade_prop;
+            edit_sequence_prop; sweep_queries_prop; times_scaled_prop; balanced_cascade_prop;
           ] );
       ( "units",
         [

@@ -277,6 +277,71 @@ let client_tests =
                   = Sta.Netdelay.all_sink_delays ~pool:serial d))));
   ]
 
+(* --- workers that live only while a job runs ------------------------- *)
+
+(* the [pool.workers_spawned] count of what [f] runs, metrics on *)
+let spawned f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      f ();
+      Option.value (List.assoc_opt "pool.workers_spawned" (Obs.counters ())) ~default:0)
+
+(* about 2000 square roots: longer than spawning a domain *)
+let slow x =
+  let acc = ref x in
+  for _ = 1 to 20 do
+    acc := heavy !acc
+  done;
+  !acc
+
+let worker_tests =
+  [
+    Alcotest.test_case "every job joins its workers: 200 maps, half raising" `Quick (fun () ->
+        (* 600 spawns.  Each task outlasts a spawn, so workers take
+           chunks; a job that returned before joining them would show an
+           unfilled slot or miss a failure a worker records late *)
+        let xs = Array.init 64 Fun.id in
+        let n =
+          spawned (fun () ->
+              Parallel.Pool.with_pool ~domains:4 (fun pool ->
+                  for job = 0 to 199 do
+                    let raising = job mod 2 = 1 in
+                    let f i =
+                      if raising && i >= 40 then failwith (string_of_int i)
+                      else if slow (float_of_int i) > 0. then i * job
+                      else -1
+                    in
+                    match Parallel.Pool.map ~pool ~chunk:1 f xs with
+                    | out ->
+                        check_bool "no raise" false raising;
+                        Array.iteri (fun i v -> check_int "slot" (i * job) v) out
+                    | exception Failure msg ->
+                        check_bool "raised" true raising;
+                        Alcotest.(check string) "lowest index" "40" msg
+                  done))
+        in
+        check_int "pool.workers_spawned" 600 n);
+    Alcotest.test_case "a job spawns min (size - 1) (chunks - 1) workers" `Quick (fun () ->
+        let on domains f = spawned (fun () -> Parallel.Pool.with_pool ~domains f) in
+        check_int "ten chunks on 4 domains" 3
+          (on 4 (fun pool -> Parallel.Pool.parallel_for ~pool ~chunk:10 ~n:100 ignore));
+        check_int "two chunks on 4 domains" 1
+          (on 4 (fun pool -> Parallel.Pool.parallel_for ~pool ~chunk:10 ~n:20 ignore));
+        check_int "one chunk" 0
+          (on 4 (fun pool -> Parallel.Pool.parallel_for ~pool ~chunk:10 ~n:5 ignore));
+        check_int "1-domain pool" 0
+          (on 1 (fun pool -> Parallel.Pool.parallel_for ~pool ~chunk:10 ~n:100 ignore));
+        (* the outer job spawns one worker; the inner jobs, which would
+           spawn three each at top level, spawn none *)
+        check_int "nested calls" 1
+          (on 4 (fun pool ->
+               Parallel.Pool.parallel_for ~pool ~chunk:1 ~n:2 (fun _ ->
+                   Parallel.Pool.parallel_for ~pool ~chunk:10 ~n:100 ignore))));
+  ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -284,4 +349,5 @@ let () =
       ("handle", handle_tests);
       ("random trees", List.map QCheck_alcotest.to_alcotest random_tree_props);
       ("clients", client_tests);
+      ("per-job workers", worker_tests);
     ]
