@@ -349,5 +349,5 @@ let () =
       ("handle", handle_tests);
       ("random trees", List.map QCheck_alcotest.to_alcotest random_tree_props);
       ("clients", client_tests);
-      ("per-job workers", worker_tests);
+      ("workers", worker_tests);
     ]
