@@ -56,10 +56,14 @@ let row op node =
 
 let c_over_dt op = op.c_over_dt
 
+(* a loop, not a filter over [List.init rows]: [run] calls this once
+   per simulation, and a million-row list is 24 MB of garbage *)
 let source_rows op =
-  List.filter_map
-    (fun r -> if op.parent_row.(r) = -1 then Some (r, op.conductance.(r)) else None)
-    (List.init (node_count op) Fun.id)
+  let acc = ref [] in
+  for r = node_count op - 1 downto 0 do
+    if op.parent_row.(r) = -1 then acc := (r, op.conductance.(r)) :: !acc
+  done;
+  !acc
 
 (* Edges scatter into their parent in descending row order, after
    every row's own terms, so each row adds its children's terms from
@@ -102,14 +106,11 @@ let apply op x =
 
 (* leaf-first elimination of (C/dt + G): the builder numbers parents
    before children, so [parent_row] already satisfies Tree_ldl's
-   elimination-order contract *)
+   elimination-order contract; the grounded form keeps the pivots of a
+   stiff edge over a small capacitance accurate *)
 let factor op =
-  (* a plain loop: Array.init's closure would box one float per row *)
-  let offdiag = Array.make (node_count op) 0. in
-  for r = 0 to node_count op - 1 do
-    if op.parent_row.(r) <> -1 then offdiag.(r) <- -.op.conductance.(r)
-  done;
-  Numeric.Tree_ldl.factor ~parent:op.parent_row ~diag:(diagonal op) ~offdiag
+  Numeric.Tree_ldl.factor_grounded ~parent:op.parent_row ~conductance:op.conductance
+    ~shunt:op.c_over_dt
 
 let max_grid_values = 1 lsl 26
 
@@ -154,13 +155,37 @@ let run ?cap_floor ~integration ~solver tree ~dt ~u ~record ~into =
   done;
   let rows = node_count op in
   let x = ref (Array.make rows 0.) in
+  (* The record as maximal runs of consecutive nodes other than the
+     input, [(first slot, first row, length)], so a run of rows is one
+     blit; every node in id order is a single run.  The input's slots
+     take [u]. *)
+  let inputs = ref [] and runs = ref [] in
+  let j = ref 0 in
+  while !j < m do
+    if record.(!j) = 0 then begin
+      inputs := !j :: !inputs;
+      incr j
+    end
+    else begin
+      let start = !j in
+      while !j + 1 < m && record.(!j + 1) = record.(!j) + 1 do
+        incr j
+      done;
+      incr j;
+      runs := (start, record.(start) - 1, !j - start) :: !runs
+    end
+  done;
+  let inputs = Array.of_list !inputs and runs = Array.of_list !runs in
   (* sample k is one contiguous row of its block; plain loops, not
      closures, so nothing is allocated per step *)
   let record k =
     let x = !x and block = into.(k / s) and base = k mod s * m in
-    for j = 0 to m - 1 do
-      let node = record.(j) in
-      block.(base + j) <- (if node = 0 then u.(k) else x.(node - 1))
+    for i = 0 to Array.length inputs - 1 do
+      block.(base + inputs.(i)) <- u.(k)
+    done;
+    for i = 0 to Array.length runs - 1 do
+      let j, row, len = runs.(i) in
+      Array.blit x row block (base + j) len
     done
   in
   (* [advance k] moves the state from sample [k - 1] to sample [k] *)
@@ -190,30 +215,49 @@ let run ?cap_floor ~integration ~solver tree ~dt ~u ~record ~into =
               let diag = diagonal op in
               fun b -> fst (Numeric.Cg.solve ~diag_precondition:diag ~mul:(apply op) b)
         in
-        let spare = ref (Array.make rows 0.) in
+        (* Backward Euler: (C/dt + G) x_{n+1} = C/dt x_n + g u_{n+1}.
+           Trapezoidal, in midpoint form: with A = 2C/dt + G,
+           A x_{n+1} = (2C/dt - G) x_n + g (u_n + u_{n+1}) is, for
+           x_{n+1} = 2w - x_n, A w = 2C/dt x_n + g (u_n + u_{n+1})/2.
+           Either way the right-hand side is the [c_over_dt] diagonal
+           times the state plus the source rows' [g u], with no G x
+           product; the pass after each solve that finishes the state
+           also leaves the next step's [c_over_dt x] in the spare
+           buffer (zero for the discharged start). *)
+        let sources = Array.of_list (List.map fst (source_rows op)) in
+        let c_x = ref (Array.make rows 0.) in
         fun k ->
-          let x_now = !x and b = !spare in
+          let x_now = !x and b = !c_x in
+          let u_src =
+            match integration with
+            | Backward_euler -> u.(k)
+            | Trapezoidal -> 0.5 *. (u.(k - 1) +. u.(k))
+          in
+          for i = 0 to Array.length sources - 1 do
+            let r = sources.(i) in
+            b.(r) <- b.(r) +. (op.conductance.(r) *. u_src)
+          done;
+          let w = solve b in
           (match integration with
           | Backward_euler ->
-              (* b = C/dt x_n + g u_{n+1} on the source rows *)
-              let u_next = u.(k) in
               for r = 0 to rows - 1 do
-                b.(r) <- op.c_over_dt.(r) *. x_now.(r);
-                if op.parent_row.(r) = -1 then
-                  b.(r) <- b.(r) +. (op.conductance.(r) *. u_next)
+                x_now.(r) <- op.c_over_dt.(r) *. w.(r)
               done
           | Trapezoidal ->
-              (* b = (2C/dt - G) x_n + g (u_n + u_{n+1})
-                   = 2 (2C/dt) x_n - (2C/dt + G) x_n + g (u_n + u_{n+1}) *)
-              let u_sum = u.(k - 1) +. u.(k) in
-              apply_into op x_now ~into:b;
               for r = 0 to rows - 1 do
-                b.(r) <- (2. *. op.c_over_dt.(r) *. x_now.(r)) -. b.(r);
-                if op.parent_row.(r) = -1 then
-                  b.(r) <- b.(r) +. (op.conductance.(r) *. u_sum)
+                let v = (2. *. w.(r)) -. x_now.(r) in
+                (* flushed below 2 Float.min_float (0x1p-1021): the
+                   solve flushes w below Float.min_float, so a state
+                   under twice that could get w = 0 and come back as
+                   -x_n, ringing at +-3e-308 instead of decaying; at or
+                   above it, a step that keeps its sign has w >= x_n/2,
+                   which the solve keeps *)
+                let v = if Float.abs v < 0x1p-1021 then 0. else v in
+                w.(r) <- v;
+                x_now.(r) <- op.c_over_dt.(r) *. v
               done);
-          spare := x_now;
-          x := solve b
+          c_x := x_now;
+          x := w
   in
   record 0;
   for k = 1 to samples - 1 do

@@ -22,7 +22,13 @@
     [`Dense], dense MNA stamping ({!Mna}) stepped by
     {!Numeric.Ode.step}.  [`Direct] and [`Cg] share one right-hand-side
     formation and differ only in the solve, so all three integrate the
-    same discrete system and agree to solver roundoff.
+    same discrete system and agree to solver roundoff.  [`Direct] and
+    [`Cg] take the trapezoidal step in midpoint form: with
+    [A = 2C/dt + G], they solve [A w = (2C/dt) x_n + g (u_n + u_{n+1})/2]
+    and set [x_{n+1} = 2w - x_n], which is
+    [A x_{n+1} = (2C/dt - G) x_n + g (u_n + u_{n+1})] without the [G x]
+    product, so a trapezoidal step costs what a backward-Euler one
+    does.
 
     Accepts the same trees as {!Mna.of_tree} (lumped, positive edge
     resistances). *)
@@ -76,8 +82,9 @@ val source_rows : operator -> (int * float) list
     conductance [g]: the input waveform [u] injects [g·u] there. *)
 
 val factor : operator -> Numeric.Tree_ldl.t
-(** Leaf-first zero-fill-in LDLᵀ of [(C/dt + G)].  O(n); reusable
-    across every step taken at this [(tree, dt)]. *)
+(** Leaf-first zero-fill-in LDLᵀ of [(C/dt + G)], with pivots formed
+    without cancellation ({!Numeric.Tree_ldl.factor_grounded}).  O(n);
+    reusable across every step taken at this [(tree, dt)]. *)
 
 val max_grid_values : int
 (** The cap on a time grid: [2{^26}] (about 67 million) recorded
@@ -116,6 +123,10 @@ val run :
     32 MiB mmap ceiling is mapped, zero-filled and unmapped afresh on
     every call.  Entries past the last sample are left alone.
 
+    Results below [Float.min_float] are written as 0 by the solve, and
+    trapezoidal states below [2 Float.min_float] by the [2w - x_n]
+    update, so no recorded sample is subnormal and a decaying state
+    reaches 0.
     Apart from setup, the [`Direct] path allocates nothing per step.
     Raises [Invalid_argument] on an empty [u], an unknown node in
     [record], an [into] whose first block holds no whole sample or

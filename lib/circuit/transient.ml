@@ -6,11 +6,12 @@ let m_nodes = Obs.Histogram.make "transient.nodes_per_sim"
 
 type result = {
   times : float array;
-  nodes : int; (* every tree node is recorded, in id order *)
+  recorded : int array; (* the recorded nodes, ascending *)
+  column : int array; (* per tree node: its slot in a sample, or -1 *)
   per_block : int; (* whole samples per block *)
   blocks : float array array;
-      (* sample-major: sample k of node i at
-         blocks.(k / per_block).((k mod per_block) * nodes + i) *)
+      (* sample-major: sample k of recorded node j at
+         blocks.(k / per_block).((k mod per_block) * m + j) *)
 }
 
 (* Floats per record block (8 MiB): well under glibc's 32 MiB mmap
@@ -24,10 +25,21 @@ let ramp_input ~rise_time t =
   if rise_time <= 0. then invalid_arg "Transient.ramp_input: rise_time must be positive";
   if t <= 0. then 0. else if t >= rise_time then 1. else t /. rise_time
 
-let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor tree ~dt ~t_end ~input
-    =
+let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor ?nodes tree ~dt ~t_end
+    ~input =
   let n = Rctree.Tree.node_count tree in
-  Large.check_grid ~who:"Transient.simulate" ~dt ~t_end ~traces:n;
+  let recorded =
+    match nodes with
+    | None -> Array.init n Fun.id
+    | Some nodes ->
+        List.iter
+          (fun node ->
+            if node < 0 || node >= n then invalid_arg "Transient.simulate: unknown node")
+          nodes;
+        Array.of_list (List.sort_uniq Int.compare nodes)
+  in
+  let m = Array.length recorded in
+  Large.check_grid ~who:"Transient.simulate" ~dt ~t_end ~traces:m;
   Obs.Span.with_ ~name:"circuit.transient" @@ fun () ->
   Obs.Counter.incr m_simulations;
   (* time advances by accumulated dt until it reaches t_end *)
@@ -37,30 +49,36 @@ let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor tree ~d
   for k = 1 to samples - 1 do
     times.(k) <- times.(k - 1) +. dt
   done;
-  let per_block = max 1 (block_floats / n) in
+  let column = Array.make n (-1) in
+  Array.iteri (fun j node -> column.(node) <- j) recorded;
+  let per_block = max 1 (block_floats / max 1 m) in
+  (* not zero-filled: [Large.run] writes every slot of every sample *)
   let blocks =
     Array.init
       (((samples - 1) / per_block) + 1)
-      (fun b -> Array.make (n * min per_block (samples - (b * per_block))) 0.)
+      (fun b -> Array.create_float (m * min per_block (samples - (b * per_block))))
   in
-  Large.run ?cap_floor ~integration ~solver tree ~dt ~u:(Array.map input times)
-    ~record:(Array.init n Fun.id) ~into:blocks;
+  Large.run ?cap_floor ~integration ~solver tree ~dt ~u:(Array.map input times) ~record:recorded
+    ~into:blocks;
   Obs.Histogram.observe m_nodes (float_of_int (n - 1));
-  { times; nodes = n; per_block; blocks }
+  { times; recorded; column; per_block; blocks }
 
-let sample r k node = r.blocks.(k / r.per_block).((k mod r.per_block * r.nodes) + node)
+let sample r k j =
+  r.blocks.(k / r.per_block).((k mod r.per_block * Array.length r.recorded) + j)
 
 let waveform r ~node =
-  if node < 0 || node >= r.nodes then invalid_arg "Transient.waveform: unknown node";
+  if node < 0 || node >= Array.length r.column || r.column.(node) < 0 then
+    invalid_arg "Transient.waveform: node not recorded";
+  let j = r.column.(node) in
   let samples = Array.length r.times in
-  let column = Array.make samples 0. in
+  let values = Array.create_float samples in
   for k = 0 to samples - 1 do
-    column.(k) <- sample r k node
+    values.(k) <- sample r k j
   done;
-  Waveform.create ~times:r.times ~values:column
+  Waveform.create ~times:r.times ~values
 
-let nodes r = List.init r.nodes Fun.id
+let nodes r = Array.to_list r.recorded
 
 let final_voltages r =
   let last = Array.length r.times - 1 in
-  List.map (fun node -> (node, sample r last node)) (nodes r)
+  List.mapi (fun j node -> (node, sample r last j)) (nodes r)

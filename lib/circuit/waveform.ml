@@ -1,6 +1,6 @@
 type t = { ts : float array; vs : float array }
 
-let create ~times ~values =
+let create ~(times : float array) ~(values : float array) =
   let n = Array.length times in
   if n <> Array.length values then invalid_arg "Waveform.create: length mismatch";
   if n < 1 then invalid_arg "Waveform.create: need at least one sample";
@@ -18,7 +18,8 @@ let times w = Array.copy w.ts
 let values w = Array.copy w.vs
 let start_time w = w.ts.(0)
 let end_time w = w.ts.(Array.length w.ts - 1)
-let value_at w t = Numeric.Interp.linear ~xs:w.ts ~ys:w.vs t
+(* [create] checked the times once, and a waveform is immutable *)
+let value_at w t = Numeric.Interp.linear_unchecked ~xs:w.ts ~ys:w.vs t
 let final_value w = w.vs.(Array.length w.vs - 1)
 let crossing_time w ~threshold = Numeric.Interp.inverse_monotone ~xs:w.ts ~ys:w.vs threshold
 

@@ -7,7 +7,7 @@ type t
 
 val create : times:float array -> values:float array -> t
 (** Raises [Invalid_argument] on length mismatch, fewer than one sample
-    or non-increasing times.  The arrays are copied. *)
+    or non-increasing times.  The arrays are copied; O(n). *)
 
 val of_samples : (float * float) list -> t
 
@@ -24,7 +24,9 @@ val start_time : t -> float
 val end_time : t -> float
 
 val value_at : t -> float -> float
-(** Piecewise-linear, constant extrapolation outside the range. *)
+(** Piecewise-linear, constant extrapolation outside the range.  A
+    binary search, O(log n) per query: the times were checked once, by
+    {!create}. *)
 
 val final_value : t -> float
 

@@ -190,6 +190,8 @@ let transient_cmd path dt t_end solver integration samples segments =
               in
               let res =
                 Circuit.Transient.simulate ~integration ~solver lumped ~dt ~t_end
+                  ~nodes:
+                    (Rctree.Tree.input lumped :: List.map snd (Rctree.Tree.outputs lumped))
                   ~input:Circuit.Transient.step_input
               in
               let waves =

@@ -1,4 +1,6 @@
-let validate name xs ys =
+(* annotated: at ['a array] each [<=] below would box its floats and
+   call the polymorphic compare *)
+let validate name (xs : float array) (ys : float array) =
   let n = Array.length xs in
   if n <> Array.length ys then invalid_arg ("Interp." ^ name ^ ": length mismatch");
   if n < 1 then invalid_arg ("Interp." ^ name ^ ": empty samples");
@@ -7,7 +9,7 @@ let validate name xs ys =
   done
 
 (* binary search: greatest i with xs.(i) <= x, clamped to [0, n-2] *)
-let segment_index xs x =
+let segment_index (xs : float array) (x : float) =
   let n = Array.length xs in
   if x <= xs.(0) then 0
   else if x >= xs.(n - 1) then Int.max 0 (n - 2)
@@ -20,8 +22,7 @@ let segment_index xs x =
     !lo
   end
 
-let linear ~xs ~ys x =
-  validate "linear" xs ys;
+let linear_unchecked ~xs ~ys x =
   let n = Array.length xs in
   if n = 1 || x <= xs.(0) then ys.(0)
   else if x >= xs.(n - 1) then ys.(n - 1)
@@ -30,6 +31,10 @@ let linear ~xs ~ys x =
     let t = (x -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
     ys.(i) +. (t *. (ys.(i + 1) -. ys.(i)))
   end
+
+let linear ~xs ~ys x =
+  validate "linear" xs ys;
+  linear_unchecked ~xs ~ys x
 
 let inverse_monotone ~xs ~ys y =
   validate "inverse_monotone" xs ys;
@@ -61,7 +66,7 @@ let trapezoid_between ~xs ~ys ~lo ~hi =
   let lo = Float.max lo xs.(0) and hi = Float.min hi xs.(n - 1) in
   if hi <= lo then 0.
   else begin
-    let value x = linear ~xs ~ys x in
+    let value x = linear_unchecked ~xs ~ys x in
     let acc = ref 0. in
     let prev_x = ref lo and prev_y = ref (value lo) in
     for i = 0 to n - 1 do

@@ -11,6 +11,29 @@ let eval p x =
   done;
   !acc
 
+(* Compensated Horner (Graillat, Langlois and Louvet): the rounding
+   error of each product and sum is recovered exactly, with an fma and
+   a two-sum, and carried along in a second Horner sum.  The result is
+   as accurate as plain Horner in twice the working precision, so the
+   sign of p stays right close to a pair of nearly equal roots, where
+   plain Horner's error is as large as p itself. *)
+let eval_compensated p x =
+  let n = Array.length p in
+  if n = 0 then 0.
+  else begin
+    let s = ref p.(n - 1) and c = ref 0. in
+    for i = n - 2 downto 0 do
+      let prod = !s *. x in
+      let prod_err = Float.fma !s x (-.prod) in
+      let sum = prod +. p.(i) in
+      let back = sum -. prod in
+      let sum_err = (prod -. (sum -. back)) +. (p.(i) -. back) in
+      s := sum;
+      c := (!c *. x) +. (prod_err +. sum_err)
+    done;
+    !s +. !c
+  end
+
 let derivative p =
   let d = degree p in
   if d <= 0 then [| 0. |] else Array.init d (fun i -> float_of_int (i + 1) *. p.(i + 1))
@@ -53,7 +76,7 @@ let real_roots ?(tol = 1e-13) p =
           | prev :: _ when Float.abs (x -. prev) <= tol *. Float.max 1. (Float.abs x) -> ()
           | _ -> found := x :: !found
         in
-        let f x = eval q x in
+        let f x = eval_compensated q x in
         for i = 0 to Array.length points - 2 do
           let a = points.(i) and b = points.(i + 1) in
           let fa = f a and fb = f b in

@@ -14,14 +14,28 @@ let pivot_fault () = Atomic.get fault
 
 let size t = Array.length t.d
 
+let check_parents who parent =
+  for i = 0 to Array.length parent - 1 do
+    if parent.(i) < -1 || parent.(i) >= i then
+      invalid_arg (who ^ ": need -1 <= parent.(i) < i (parents before children)")
+  done
+
+(* the armed pivot fault, if any, then the count *)
+let finish parent l d =
+  let n = Array.length d in
+  (match Atomic.get fault with
+  | Some (i, s) when n > 0 ->
+      let i = ((i mod n) + n) mod n in
+      d.(i) <- d.(i) *. s
+  | _ -> ());
+  Obs.Counter.incr m_factors;
+  { parent; l; d }
+
 let factor ~parent ~diag ~offdiag =
   let n = Array.length parent in
   if Array.length diag <> n || Array.length offdiag <> n then
     invalid_arg "Tree_ldl.factor: parent/diag/offdiag lengths differ";
-  for i = 0 to n - 1 do
-    if parent.(i) < -1 || parent.(i) >= i then
-      invalid_arg "Tree_ldl.factor: need -1 <= parent.(i) < i (parents before children)"
-  done;
+  check_parents "Tree_ldl.factor" parent;
   let d = Array.copy diag in
   let l = Array.make n 0. in
   (* leaf-to-root elimination: children carry larger indices, so by the
@@ -37,13 +51,31 @@ let factor ~parent ~diag ~offdiag =
       d.(p) <- d.(p) -. (a *. li)
     end
   done;
-  (match Atomic.get fault with
-  | Some (i, s) when n > 0 ->
-      let i = ((i mod n) + n) mod n in
-      d.(i) <- d.(i) *. s
-  | _ -> ());
-  Obs.Counter.incr m_factors;
-  { parent; l; d }
+  finish parent l d
+
+let factor_grounded ~parent ~conductance ~shunt =
+  let n = Array.length parent in
+  if Array.length conductance <> n || Array.length shunt <> n then
+    invalid_arg "Tree_ldl.factor_grounded: parent/conductance/shunt lengths differ";
+  check_parents "Tree_ldl.factor_grounded" parent;
+  (* e.(i): what row i holds besides the edge above it, its shunt plus
+     each eliminated child's edge in series with that child's own e,
+     g e / (g + e) -- every term positive, so no pivot is a difference
+     of nearly equal numbers *)
+  let e = Array.copy shunt in
+  let d = Array.make n 0. and l = Array.make n 0. in
+  for i = n - 1 downto 0 do
+    let g = conductance.(i) in
+    let di = g +. e.(i) in
+    if not (di > 0.) then invalid_arg "Tree_ldl.factor_grounded: matrix is not positive definite";
+    d.(i) <- di;
+    let p = parent.(i) in
+    if p >= 0 then begin
+      l.(i) <- -.g /. di;
+      e.(p) <- e.(p) +. (g *. (e.(i) /. di))
+    end
+  done;
+  finish parent l d
 
 let solve_in_place t b =
   let n = Array.length t.d in

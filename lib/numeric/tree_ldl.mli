@@ -32,6 +32,28 @@ val factor : parent:int array -> diag:float array -> offdiag:float array -> t
     violating [-1 <= parent.(i) < i], or when a pivot comes out
     non-positive (the matrix was not positive definite). *)
 
+val factor_grounded :
+  parent:int array -> conductance:float array -> shunt:float array -> t
+(** [factor_grounded ~parent ~conductance ~shunt] factors the
+    conductance matrix of a grounded tree plus a diagonal: row [i] is
+    tied to [parent.(i)], or to ground at a root, through
+    [conductance.(i)], and to ground through [shunt.(i)] — the
+    [(C/dt + G)] of an RC tree, with [shunt] = [C/dt].  The matrix is
+    the one {!factor} gets from [offdiag.(i) = -conductance.(i)] and
+    [diag.(i) = shunt.(i) + conductance.(i) + Σ conductance] of its
+    children, and so is the factor, up to rounding: here each pivot is
+    [g + e], [e] the shunt plus each child's [g_c e_c / (g_c + e_c)],
+    a sum of positive terms, where {!factor} subtracts [a²/d] from the
+    assembled diagonal.  When a conductance dwarfs the capacitance
+    below it that subtraction cancels, and every solve inherits the
+    lost digits as a systematic error; here pivots stay accurate to a
+    few ulps.  Borrows [parent] as {!factor} does; {!set_pivot_fault}
+    applies.
+
+    Raises [Invalid_argument] on mismatched lengths, on an index
+    violating [-1 <= parent.(i) < i], or when a pivot comes out
+    non-positive (negative or NaN values). *)
+
 val size : t -> int
 
 val solve_in_place : t -> float array -> unit

@@ -296,17 +296,89 @@ let iter_nodes t ~f =
     f i
   done
 
+(* Indentation grows two spaces a level down to [pp_indent_levels];
+   deeper lines keep that indentation and state their depth, so a deep
+   chain prints in time and width linear in its nodes. *)
+let pp_indent_levels = 32
+
+(* [Units.format_si], remembering the last value: a chain of equal
+   sections formats its values once *)
+let format_si_memo () =
+  let last = ref None in
+  fun x ->
+    match !last with
+    | Some (y, s) when Float.equal x y -> s
+    | _ ->
+        let s = Units.format_si x in
+        last := Some (x, s);
+        s
+
 let pp fmt t =
-  let rec dump indent id =
-    let elem =
-      match element t id with None -> "input" | Some e -> Format.asprintf "%a" Element.pp e
-    in
-    let c = t.flat.capacitance.(id) in
-    let cap = if c > 0. then Format.asprintf " C=%s" (Units.format_si c) else "" in
-    let out = if is_output t id then " [output]" else "" in
-    Format.fprintf fmt "%s%s: %s%s%s@," indent (name_in t.names id) elem cap out;
-    List.iter (dump (indent ^ "  ")) (children t id)
+  let n = node_count t in
+  let is_out = Array.make n false in
+  List.iter (fun (_, id) -> is_out.(id) <- true) t.outputs;
+  let start, ids = children_index t in
+  let indents = Array.init (pp_indent_levels + 1) (fun d -> String.make (2 * max 1 d) ' ') in
+  let si_r = format_si_memo () and si_line = format_si_memo () and si_c = format_si_memo () in
+  let line = Buffer.create 128 in
+  let add = Buffer.add_string line in
+  (* decimal digits without a string per number, as string_of_int
+     spells a non-negative int *)
+  let rec add_int k =
+    if k >= 10 then add_int (k / 10);
+    Buffer.add_char line (Char.unsafe_chr (Char.code '0' + (k mod 10)))
   in
+  (* preorder by an explicit stack, each node's children pushed last
+     first so they pop in insertion order *)
+  let stack = Array.make n 0 and depth = Array.make n 0 and top = ref 1 in
   Format.fprintf fmt "@[<v>tree %s@," t.name;
-  dump "  " 0;
+  while !top > 0 do
+    decr top;
+    let id = stack.(!top) and d = depth.(!top) in
+    Buffer.clear line;
+    if d < pp_indent_levels then add indents.(d + 1)
+    else begin
+      add indents.(pp_indent_levels);
+      add "[depth ";
+      add_int d;
+      add "] "
+    end;
+    if id = 0 || (Array.length t.names > 0 && t.names.(id) != unnamed) then add (name_in t.names id)
+    else begin
+      (* [default_name], spelled into the line *)
+      Buffer.add_char line 'n';
+      add_int id
+    end;
+    add ": ";
+    (* each element as Element.pp prints it *)
+    (match element t id with
+    | None -> add "input"
+    | Some (Element.Resistor r) ->
+        add "R(";
+        add (si_r r);
+        add ")"
+    | Some (Element.Capacitor c) ->
+        add "C(";
+        add (si_line c);
+        add ")"
+    | Some (Element.Line { resistance; capacitance }) ->
+        add "URC(";
+        add (si_r resistance);
+        add ",";
+        add (si_line capacitance);
+        add ")");
+    let c = t.flat.capacitance.(id) in
+    if c > 0. then begin
+      add " C=";
+      add (si_c c)
+    end;
+    if is_out.(id) then add " [output]";
+    Format.pp_print_string fmt (Buffer.contents line);
+    Format.pp_print_cut fmt ();
+    for i = start.(id + 1) - 1 downto start.(id) do
+      stack.(!top) <- ids.(i);
+      depth.(!top) <- d + 1;
+      incr top
+    done
+  done;
   Format.fprintf fmt "@]"

@@ -123,4 +123,7 @@ val fold_nodes : t -> init:'a -> f:('a -> node_id -> 'a) -> 'a
 val iter_nodes : t -> f:(node_id -> unit) -> unit
 
 val pp : Format.formatter -> t -> unit
-(** Indented structural dump. *)
+(** Indented structural dump, one line per node in preorder, two
+    spaces more per level.  Indentation stops growing at depth 32;
+    deeper lines keep it and state their depth, [\[depth d\]], before
+    the node.  Linear in the node count. *)

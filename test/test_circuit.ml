@@ -67,6 +67,28 @@ let waveform_tests =
         check_invalid "order" (fun () -> create ~times:[| 1.; 0. |] ~values:[| 0.; 1. |]));
     Alcotest.test_case "of_samples" `Quick (fun () ->
         check_close "v" 5. (value_at (of_samples [ (0., 0.); (1., 10.) ]) 0.5));
+    Alcotest.test_case "value_at is bit-identical to Interp.linear" `Quick (fun () ->
+        let st = Random.State.make [| 11 |] in
+        for _ = 1 to 200 do
+          let n = 1 + Random.State.int st 40 in
+          let times = Array.make n (Random.State.float st 10. -. 5.) in
+          for i = 1 to n - 1 do
+            times.(i) <- times.(i - 1) +. 1e-3 +. Random.State.float st 2.
+          done;
+          let values = Array.init n (fun _ -> Random.State.float st 2. -. 1.) in
+          let w = create ~times ~values in
+          let queries =
+            Array.append times
+              (Array.init 50 (fun _ ->
+                   times.(0) -. 1. +. Random.State.float st (times.(n - 1) -. times.(0) +. 2.)))
+          in
+          Array.iter
+            (fun t ->
+              let a = value_at w t and b = Numeric.Interp.linear ~xs:times ~ys:values t in
+              check_bool (Printf.sprintf "%h" t) true
+                (Int64.bits_of_float a = Int64.bits_of_float b))
+            queries
+        done);
   ]
 
 let mna_tests =
@@ -259,6 +281,71 @@ let measure_tests =
   ]
 
 (* --- Large (matrix-free) --------------------------------------------- *)
+
+(* The trapezoidal step as it was formed before the midpoint form:
+   b = (2C/dt - G) x_n + g (u_n + u_{n+1}) through one operator
+   application, then one solve of (2C/dt + G) x_{n+1} = b.  Returns
+   every node's samples, [k * rows + row]. *)
+let trapezoidal_reference tree ~dt ~u =
+  let open Circuit.Large in
+  let op = operator tree ~dt:(dt /. 2.) in
+  let f = factor op in
+  let rows = node_count op and c = c_over_dt op and sources = source_rows op in
+  let samples = Array.length u in
+  let out = Array.make (samples * rows) 0. in
+  let x = Array.make rows 0. and b = Array.make rows 0. in
+  for k = 1 to samples - 1 do
+    apply_into op x ~into:b;
+    for r = 0 to rows - 1 do
+      b.(r) <- (2. *. c.(r) *. x.(r)) -. b.(r)
+    done;
+    List.iter (fun (r, g) -> b.(r) <- b.(r) +. (g *. (u.(k - 1) +. u.(k)))) sources;
+    Numeric.Tree_ldl.solve_in_place f b;
+    Array.blit b 0 x 0 rows;
+    Array.blit x 0 out (k * rows) rows
+  done;
+  out
+
+(* a ramp over the first [rise] of [samples] samples, then 1 *)
+let ramp_samples samples ~rise =
+  Array.init samples (fun k -> Float.min 1. (float_of_int k /. float_of_int rise))
+
+(* transient-record's shape in miniature: a driver into a balanced
+   binary tree and a star of chains, a few edges distributed lines,
+   lumped *)
+let record_shaped_tree () =
+  let module B = Rctree.Tree.Builder in
+  let st = Random.State.make [| 17 |] in
+  let b = B.create ~name:"record-shaped" () in
+  let vary x = x *. (0.5 +. Random.State.float st 1.) in
+  let count = ref 0 in
+  let edge parent =
+    incr count;
+    let node =
+      if !count mod 37 = 0 then B.add_line b ~parent (vary 100.) (vary 2e-14)
+      else B.add_resistor b ~parent (vary 10.)
+    in
+    B.add_capacitance b node (vary 1e-14);
+    node
+  in
+  let root = B.add_resistor b ~parent:(B.input b) 100. in
+  B.add_capacitance b root 1e-14;
+  let rec balanced parent level =
+    if level > 0 then begin
+      let n = edge parent in
+      balanced n (level - 1);
+      balanced n (level - 1)
+    end
+  in
+  balanced root 7;
+  for _ = 1 to 16 do
+    let at = ref root in
+    for _ = 1 to 16 do
+      at := edge !at
+    done;
+    B.mark_output b !at
+  done;
+  Rctree.Lump.discretize ~segments:16 (B.finish b)
 
 let large_tests =
   let open Circuit.Large in
@@ -570,6 +657,95 @@ let large_tests =
             check_bool (Printf.sprintf "node %d final" node) true
               (Int64.bits_of_float (List.assoc node final) = Int64.bits_of_float v.(600)))
           outputs);
+    Alcotest.test_case "midpoint trapezoidal matches the (2C/dt - G) x form" `Quick (fun () ->
+        let worst = ref 0. in
+        let compare_on tree ~dt ~u =
+          let rows = Rctree.Tree.node_count tree - 1 in
+          let samples = Array.length u in
+          let into = Array.make (samples * rows) 0. in
+          run ~integration:Trapezoidal ~solver:`Direct tree ~dt ~u
+            ~record:(Array.init rows (fun r -> r + 1))
+            ~into:[| into |];
+          let reference = trapezoidal_reference tree ~dt ~u in
+          (* relative to the input's full swing, 1 *)
+          Array.iteri
+            (fun i v -> worst := Float.max !worst (Float.abs (v -. reference.(i))))
+            into
+        in
+        let st = Random.State.make [| 2024 |] in
+        for _ = 1 to 40 do
+          let { Check.Case.tree; output; _ } = Check.Gen.case ~max_nodes:40 st in
+          let tree = Circuit.Measure.discretize_for_simulation tree in
+          let tau = Float.max 1e-30 (Rctree.Moments.elmore tree ~output) in
+          compare_on tree ~dt:(tau /. 50.) ~u:(ramp_samples 201 ~rise:25)
+        done;
+        let tree = record_shaped_tree () in
+        let t_p = Rctree.Moments.t_p tree in
+        compare_on tree ~dt:(25. *. t_p /. 1000.) ~u:(ramp_samples 1001 ~rise:40);
+        check_bool (Printf.sprintf "within 1e-12 (worst %.3g)" !worst) true (!worst <= 1e-12));
+    Alcotest.test_case "trapezoidal records no subnormal, and a decay reaches 0" `Quick (fun () ->
+        let sections = 100_000 in
+        let tree = rc_chain ~sections ~r:1. ~c:1. in
+        let samples = 21 in
+        let into = Array.make (samples * sections) 0. in
+        run ~integration:Trapezoidal ~solver:`Direct tree ~dt:1. ~u:(Array.make samples 1.)
+          ~record:(Array.init sections (fun r -> r + 1))
+          ~into:[| into |];
+        let subnormal = ref 0 and tiny = ref 0 in
+        Array.iter
+          (fun v ->
+            if Float.classify_float v = FP_subnormal then incr subnormal
+            else if v <> 0. && Float.abs v < 1e-290 then incr tiny)
+          into;
+        check_int "subnormal samples" 0 !subnormal;
+        (* the wave front does reach below 1e-290, so the flush is tested *)
+        check_bool
+          (Printf.sprintf "values near the bottom of the range (%d)" !tiny)
+          true (!tiny > 0);
+        (* one RC discharging by 1/3 a step passes through the bottom
+           of the range in the 2w - x_n update itself, and must end at
+           0, not ring at +-3e-308 *)
+        let pole = rc_chain ~sections:1 ~r:1. ~c:1. in
+        let samples = 800 in
+        let into = Array.make samples 1. in
+        run ~cap_floor:0. ~integration:Trapezoidal ~solver:`Direct pole ~dt:1.
+          ~u:(Array.init samples (fun k -> if k < 2 then 1. else 0.))
+          ~record:[| 1 |] ~into:[| into |];
+        check_bool "decay: no subnormal sample" true
+          (Array.for_all (fun v -> Float.classify_float v <> FP_subnormal) into);
+        check_bool "decay: passes the bottom of the range" true
+          (Array.exists (fun v -> v <> 0. && Float.abs v < 1e-300) into);
+        check_bool "decay: ends at 0" true (into.(samples - 1) = 0.));
+    Alcotest.test_case "simulate ?nodes records the same bits as a full record" `Quick
+      (fun () ->
+        (* 2001 nodes x 601 samples: the full record spans two blocks,
+           the chosen nodes fit in one *)
+        let tree = rc_chain ~sections:2000 ~r:1. ~c:1. in
+        let chosen = [ 2000; 0; 7; 1000; 7 ] in
+        List.iter
+          (fun integration ->
+            let sim ?nodes () =
+              Circuit.Transient.simulate ~integration ?nodes tree ~dt:0.5 ~t_end:300.
+                ~input:(Circuit.Transient.ramp_input ~rise_time:20.)
+            in
+            let full = sim () and part = sim ~nodes:chosen () in
+            Alcotest.(check (list int)) "nodes" [ 0; 7; 1000; 2000 ] (Circuit.Transient.nodes part);
+            let bits w = Array.map Int64.bits_of_float (Circuit.Waveform.values w) in
+            List.iter
+              (fun node ->
+                check_bool (Printf.sprintf "node %d" node) true
+                  (bits (Circuit.Transient.waveform full ~node)
+                  = bits (Circuit.Transient.waveform part ~node)))
+              chosen;
+            let final = Circuit.Transient.final_voltages full in
+            List.iter
+              (fun (node, v) ->
+                check_bool (Printf.sprintf "node %d final" node) true
+                  (Int64.bits_of_float v = Int64.bits_of_float (List.assoc node final)))
+              (Circuit.Transient.final_voltages part);
+            check_invalid "unrecorded node" (fun () -> Circuit.Transient.waveform part ~node:8);
+            check_invalid "unknown node" (fun () -> sim ~nodes:[ 2001 ] ()))
+          [ Circuit.Transient.Trapezoidal; Circuit.Transient.Backward_euler ]);
   ]
 
 let () =

@@ -388,6 +388,26 @@ let tests =
               "csv" "t,e,b,a\n0,-1.59316e-15,-9.9006e-16,1.02938e-16\n200,0.427196,0.385584,0.478937\n\
                      400,0.668876,0.644108,0.698631\n600,0.808436,0.794098,0.825648\n"
               out));
+    Alcotest.test_case "transient records the outputs and prints the full record's CSV" `Quick
+      (fun () ->
+        with_deck
+          "VIN in 0\nR1 in a 15\nC1 a 0 2\nR2 a b 8\nC2 b 0 7\nU1 a e 3 4\nC3 e 0 9\n.output e\n\
+           .output b\n.output a\n.end\n"
+          (fun deck ->
+            (* the CSV printed when every node was recorded, pinned *)
+            let expected =
+              "t,e,b,a\n0,0,0,0\n100,0.243554,0.197668,0.313866\n200,0.427196,0.385584,0.478937\n\
+               300,0.564617,0.532177,0.603768\n400,0.668876,0.644108,0.698631\n\
+               500,0.748146,0.729296,0.770775\n600,0.808436,0.794098,0.825648\n"
+            in
+            List.iter
+              (fun solver ->
+                let code, out =
+                  run [ "transient"; deck; "--t-end"; "600"; "--samples"; "7"; "--solver"; solver ]
+                in
+                check_int (solver ^ " exit") 0 code;
+                Alcotest.(check string) (solver ^ " csv") expected out)
+              [ "direct"; "cg"; "dense" ]));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

@@ -681,6 +681,50 @@ let tree_ldl_tests =
         let x = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
         Alcotest.(check string) "flushed root" (hex 0.) (hex x.(0));
         Alcotest.(check string) "normal root" (hex 1.) (hex x.(1)));
+    Alcotest.test_case "grounded factor: the same system, pivots without cancellation" `Quick
+      (fun () ->
+        let assemble ~parent ~conductance ~shunt =
+          let n = Array.length parent in
+          let diag = Array.init n (fun i -> shunt.(i) +. conductance.(i)) in
+          Array.iteri (fun i p -> if p >= 0 then diag.(p) <- diag.(p) +. conductance.(i)) parent;
+          (diag, Array.init n (fun i -> if parent.(i) >= 0 then -.conductance.(i) else 0.))
+        in
+        let st = Random.State.make [| 5 |] in
+        for trial = 1 to 20 do
+          let n = 2 + Random.State.int st 200 in
+          let parent, _, _ = random_forest st n in
+          let conductance = Array.init n (fun _ -> 0.1 +. Random.State.float st 2.) in
+          let shunt = Array.init n (fun _ -> 0.5 +. Random.State.float st 1.) in
+          let diag, offdiag = assemble ~parent ~conductance ~shunt in
+          let b = Array.init n (fun _ -> Random.State.float st 2. -. 1.) in
+          let x = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
+          let y = Tree_ldl.solve (Tree_ldl.factor_grounded ~parent ~conductance ~shunt) b in
+          check_close ~eps:1e-12 (Printf.sprintf "trial %d" trial) 0. (Vector.max_abs_diff x y)
+        done;
+        (* a stiff chain, 1e6 S edges over about 1e-6 F/s shunts: with
+           x all ones, b is the shunts plus the grounded edge at the
+           root (2^20 + 2^-20, exact), so the solve must give back ones *)
+        let n = 200 in
+        let parent = Array.init n (fun i -> i - 1) in
+        let conductance = Array.init n (fun i -> if i = 0 then 0x1p20 else 1e6) in
+        let shunt =
+          Array.init n (fun i -> if i = 0 then 0x1p-20 else 1e-6 *. (1. +. sin (float_of_int i)))
+        in
+        let b = Array.copy shunt in
+        b.(0) <- conductance.(0) +. shunt.(0);
+        let error f = Vector.max_abs_diff (Tree_ldl.solve f b) (Array.make n 1.) in
+        let diag, offdiag = assemble ~parent ~conductance ~shunt in
+        let assembled = error (Tree_ldl.factor ~parent ~diag ~offdiag)
+        and grounded = error (Tree_ldl.factor_grounded ~parent ~conductance ~shunt) in
+        check_bool
+          (Printf.sprintf "grounded error %.3g (assembled %.3g)" grounded assembled)
+          true (grounded < 1e-14);
+        check_invalid "bad order" (fun () ->
+            Tree_ldl.factor_grounded ~parent:[| 0 |] ~conductance:[| 1. |] ~shunt:[| 1. |]);
+        check_invalid "lengths" (fun () ->
+            Tree_ldl.factor_grounded ~parent:[| -1 |] ~conductance:[||] ~shunt:[| 1. |]);
+        check_invalid "not positive definite" (fun () ->
+            Tree_ldl.factor_grounded ~parent:[| -1 |] ~conductance:[| 1. |] ~shunt:[| -2. |]));
   ]
 
 (* --- Polynomial -------------------------------------------------------- *)
@@ -727,6 +771,33 @@ let polynomial_tests =
         check_close ~eps:1e-9 "large" (-0.001) roots.(1));
     Alcotest.test_case "zero polynomial rejected" `Quick (fun () ->
         check_invalid "zero" (fun () -> real_roots [| 0. |]));
+    Alcotest.test_case "close pair placed by compensated evaluation" `Quick (fun () ->
+        (* plain Horner's rounding near the pair's critical point is
+           as large as p there, and put the pair at -6.9830709 and
+           -6.9830694; the exact roots come from rational arithmetic *)
+        let p =
+          Array.map Float.of_string
+            [|
+              "0x1.bdba4e70f058p+14";
+              "0x1.12e5870c2dde8p+15";
+              "0x1.04949ab1445b8p+14";
+              "0x1.f5afd76015b6ap+11";
+              "0x1.06cc9b6ddddaep+9";
+              "0x1.1ebaa09f8b3a5p+5";
+              "0x1p+0";
+            |]
+        in
+        Alcotest.(check (array (float 1e-8)))
+          "roots"
+          [|
+            -7.17774044293;
+            -6.98308019242;
+            -6.98305870141;
+            -6.43444353045;
+            -6.22948105241;
+            -2.03332275737;
+          |]
+          (real_roots p));
   ]
 
 let () =

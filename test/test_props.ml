@@ -241,6 +241,49 @@ let spice_props =
                   (Rctree.Moments.times tree2 ~output:out2)));
   ]
 
+(* prod (x - r_i), in floating point, lowest coefficient first *)
+let poly_of_roots roots =
+  Array.fold_left
+    (fun acc r ->
+      let n = Array.length acc in
+      Array.init (n + 1) (fun i ->
+          (if i < n then -.r *. acc.(i) else 0.) +. if i > 0 then acc.(i - 1) else 0.))
+    [| 1. |] roots
+
+(* Whether [found] (ascending) are the real roots of [poly], built by
+   [poly_of_roots] from the ascending negative [roots].  The rounded
+   coefficients are not those of prod (x - r_i): each is n rounded
+   multiply-adds of positive terms, so it is off by at most n eps
+   relative, which moves a root r by up to n eps sum |c_i| |r|^i /
+   |p'(r)|, its first-order condition number.  Each root's 1e-6 bound
+   is widened by twice that (unchanged, to the digits that matter, for
+   well-separated roots), and two roots closer than their widened
+   bounds may go missing together: the rounding can turn such a pair
+   complex. *)
+let roots_recovered poly roots found =
+  let n = Array.length roots in
+  let tol r =
+    let scale = ref 0. and slope = ref 0. in
+    Array.iteri
+      (fun i c -> scale := !scale +. (Float.abs c *. (Float.abs r ** float_of_int i)))
+      poly;
+    for i = Array.length poly - 1 downto 1 do
+      slope := (!slope *. r) +. (float_of_int i *. poly.(i))
+    done;
+    (1e-6 *. Float.max 1. (Float.abs r))
+    +. (2. *. float_of_int n *. epsilon_float *. !scale /. Float.abs !slope)
+  in
+  let tols = Array.map tol roots in
+  let close_pair i j = roots.(j) -. roots.(i) < tols.(i) +. tols.(j) in
+  let may_vanish i = (i > 0 && close_pair (i - 1) i) || (i < n - 1 && close_pair i (i + 1)) in
+  let rec walk i j =
+    if i = n then j = Array.length found
+    else if j < Array.length found && Float.abs (roots.(i) -. found.(j)) < tols.(i) then
+      walk (i + 1) (j + 1)
+    else may_vanish i && walk (i + 1) j
+  in
+  (n - Array.length found) mod 2 = 0 && walk 0 0
+
 let misc_props =
   [
     QCheck.Test.make ~count:300 ~name:"format_si/parse_si round-trip"
@@ -262,22 +305,9 @@ let misc_props =
            list_size (return n) (float_range (-10.) (-0.01)))
          ~print:(fun roots -> String.concat "," (List.map string_of_float roots)))
       (fun roots ->
-        let roots = List.sort_uniq Float.compare roots in
-        (* build prod (x - r_i) *)
-        let poly =
-          List.fold_left
-            (fun acc r ->
-              let n = Array.length acc in
-              Array.init (n + 1) (fun i ->
-                  (if i < n then -.r *. acc.(i) else 0.)
-                  +. if i > 0 then acc.(i - 1) else 0.))
-            [| 1. |] roots
-        in
-        let found = Numeric.Polynomial.real_roots poly in
-        Array.length found = List.length roots
-        && List.for_all2
-             (fun expected got -> Float.abs (expected -. got) < 1e-6 *. Float.max 1. (Float.abs expected))
-             roots (Array.to_list found));
+        let roots = Array.of_list (List.sort_uniq Float.compare roots) in
+        let poly = poly_of_roots roots in
+        roots_recovered poly roots (Numeric.Polynomial.real_roots poly));
     QCheck.Test.make ~count:30 ~name:"matrix-free simulator matches the eigendecomposition"
       arb_sim_case
       (fun { Check.Case.tree; output; _ } ->
@@ -321,6 +351,55 @@ let misc_props =
           [ 0; 1; 2; 4; 8 ]);
   ]
 
+(* Draws on which the property failed before its expectation followed
+   the rounded coefficients.  Each pinned [exact] is the rounded
+   polynomial's own root set, from rational arithmetic (a sign scan and
+   bisection on the exact coefficients). *)
+let roots_pinned =
+  let case name roots exact =
+    Alcotest.test_case name `Quick (fun () ->
+        let roots = Array.map Float.of_string roots in
+        let poly = poly_of_roots roots in
+        let found = Numeric.Polynomial.real_roots poly in
+        Alcotest.(check int) "count" (Array.length exact) (Array.length found);
+        Array.iteri
+          (fun i e -> Alcotest.(check (float 1e-8)) (Printf.sprintf "root %d" i) e found.(i))
+          exact;
+        Alcotest.(check bool) "property holds" true (roots_recovered poly roots found))
+  in
+  [
+    (* the rounding moves the pair near -6.7183 by 9.4e-5 *)
+    case "rounded coefficients move a close pair"
+      [|
+        "-0x1.e1042db7496cap+2";
+        "-0x1.adf9f98d7c6ebp+2";
+        "-0x1.adf7bd8cafa51p+2";
+        "-0x1.ab1d7c0fe1c9p+2";
+        "-0x1.a035c80546542p+2";
+        "-0x1.8b4a583aa1c2cp+2";
+      |]
+      [|
+        -7.51588003993;
+        -6.71847586593;
+        -6.71815168239;
+        -6.67367520538;
+        -6.50328252345;
+        -6.17641263785;
+      |];
+    (* the pair near -6.89657, 2e-7 apart, turns complex: p stays
+       above 3e-11 between its would-be roots *)
+    case "rounded coefficients turn a close pair complex"
+      [|
+        "-0x1.b9616026834e8p+2";
+        "-0x1.b9615f4d4d5aap+2";
+        "-0x1.71581a9545f8cp+2";
+        "-0x1.3de4c273f1cafp+2";
+        "-0x1.abc996b3e4ceap+1";
+        "-0x1.06c1dc867d022p+1";
+      |]
+      [| -5.77100243165; -4.96708737681; -3.34208949837; -2.05279118125 |];
+  ]
+
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "props"
@@ -331,4 +410,5 @@ let () =
       ("extensions", to_alcotest extension_props);
       ("spice", to_alcotest spice_props);
       ("misc", to_alcotest misc_props);
+      ("roots", roots_pinned);
     ]

@@ -468,6 +468,34 @@ let tree_tests =
             Alcotest.(check (list (pair string int)))
               (Printf.sprintf "%d outputs" n) (List.rev !marked) (outputs (Builder.finish b)))
           [ 1; 3; 40 ]);
+    Alcotest.test_case "pp is linear in depth; deep lines state their depth" `Quick (fun () ->
+        let chain len =
+          let b = Builder.create () in
+          let at = ref (Builder.input b) in
+          for _ = 1 to len do
+            at := Builder.add_resistor b ~parent:!at 1.;
+            Builder.add_capacitance b !at 1.
+          done;
+          Builder.mark_output b !at;
+          Builder.finish b
+        in
+        let lines = String.split_on_char '\n' (Format.asprintf "%a" pp (chain 40)) in
+        let indent = String.make 64 ' ' in
+        check_string "depth 31" (indent ^ "n31: R(1) C=1") (List.nth lines 32);
+        check_string "depth 32" (indent ^ "[depth 32] n32: R(1) C=1") (List.nth lines 33);
+        check_string "depth 40" (indent ^ "[depth 40] n40: R(1) C=1 [output]") (List.nth lines 41);
+        (* a million levels, printed to a formatter that only counts *)
+        let deep = chain 1_000_000 in
+        let bytes = ref 0 in
+        let fmt =
+          Format.make_formatter (fun _ _ len -> bytes := !bytes + len) (fun () -> ())
+        in
+        let t0 = Unix.gettimeofday () in
+        Format.fprintf fmt "%a@." pp deep;
+        let elapsed = Unix.gettimeofday () -. t0 in
+        check_bool "every line, at most 64 spaces of indent" true
+          (!bytes > 1_000_000 * 20 && !bytes < 1_000_000 * 110);
+        check_bool (Printf.sprintf "under a second (%.2f s)" elapsed) true (elapsed < 1.));
   ]
 
 (* --- Path: the Fig. 3 resistance definitions ---------------------------- *)
