@@ -350,7 +350,7 @@ let lump_convergence_table () =
 
 let scalability_table () =
   Gc.compact ();
-  print_endline "== ablation: dense LU vs matrix-free CG, one backward-Euler step ==";
+  print_endline "== ablation: dense MNA + LU vs tree LDL^T, one backward-Euler step ==";
   let wall f =
     let t0 = Unix.gettimeofday () in
     let reps = 3 in
@@ -359,23 +359,23 @@ let scalability_table () =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e3
   in
-  let t = Reprolib.Table.create ~columns:[ "nodes"; "dense(ms)"; "matrix-free(ms)" ] in
+  let t = Reprolib.Table.create ~columns:[ "nodes"; "dense(ms)"; "tree LDL^T(ms)" ] in
   List.iter
     (fun n ->
       let tree = Circuit.Large.rc_chain ~sections:n ~r:10. ~c:1e-13 in
       let out = Rctree.Tree.output_named tree "out" in
       let dense () =
-        Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler tree ~dt:1e-9
+        Check.Stepper.simulate `Dense ~integration:Backward_euler ~nodes:[ out ] tree ~dt:1e-9
           ~t_end:1e-9 ~input:Circuit.Transient.step_input
       in
-      let sparse () = Circuit.Large.step_response tree ~dt:1e-9 ~t_end:1e-9 ~outputs:[ out ] in
+      let tree_ldl () = Circuit.Large.step_response tree ~dt:1e-9 ~t_end:1e-9 ~outputs:[ out ] in
       Reprolib.Table.add_row t
         [
           string_of_int n;
-          Printf.sprintf "%.1f" (wall dense);
-          Printf.sprintf "%.1f" (wall sparse);
+          Printf.sprintf "%.3f" (wall dense);
+          Printf.sprintf "%.3f" (wall tree_ldl);
         ])
-    (if quick then [ 100; 200 ] else [ 100; 200; 400; 800 ]);
+    (if quick then [ 100; 200 ] else [ 100; 200; 400; Circuit.Mna.max_unknowns ]);
   Reprolib.Table.print t;
   print_newline ()
 
@@ -581,199 +581,6 @@ let write_bench_pr3_json
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-(* ------------------------------------------------------------------ *)
-(* PR5: factor-once tree LDL^T vs per-step CG vs dense LU             *)
-(* ------------------------------------------------------------------ *)
-
-(* [arms] chains of [sections] off the root — wide and shallow, the
-   opposite stress of the deep chain *)
-let star_tree ~arms ~sections =
-  let b = Rctree.Tree.Builder.create ~name:"star" () in
-  let root = Rctree.Tree.Builder.input b in
-  let last = ref root in
-  for _ = 1 to arms do
-    let at = ref root in
-    for _ = 1 to sections do
-      let n = Rctree.Tree.Builder.add_resistor b ~parent:!at 10. in
-      Rctree.Tree.Builder.add_capacitance b n 1e-13;
-      at := n
-    done;
-    last := !at
-  done;
-  Rctree.Tree.Builder.mark_output b ~label:"out" !last;
-  Rctree.Tree.Builder.finish b
-
-(* a complete binary RC tree of [levels] levels *)
-let balanced_tree ~levels =
-  let b = Rctree.Tree.Builder.create ~name:"balanced" () in
-  let root = Rctree.Tree.Builder.input b in
-  let deepest = ref root in
-  let rec go parent level =
-    if level > 0 then begin
-      let n = Rctree.Tree.Builder.add_resistor b ~parent 10. in
-      Rctree.Tree.Builder.add_capacitance b n 1e-13;
-      deepest := n;
-      go n (level - 1);
-      go n (level - 1)
-    end
-  in
-  go root levels;
-  Rctree.Tree.Builder.mark_output b ~label:"out" !deepest;
-  Rctree.Tree.Builder.finish b
-
-(* (name, nodes, dt, steps, [(solver, ms/step)], direct-vs-cg max abs err) *)
-let treesolve_rows () =
-  Gc.compact ();
-  (* metrics off so the measured cost is the production hot path, and
-     CG's per-iteration counters don't tilt the comparison *)
-  let was = Obs.enabled () in
-  Obs.set_enabled false;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
-  (* dt giving C/dt about 100x below the edge conductance: stiff enough
-     that CG must iterate, mild enough that it converges at its default
-     relative residual of 1e-12 *)
-  let dt = 1e-10 in
-  let measure solver tree outs ~steps =
-    let t0 = Unix.gettimeofday () in
-    let w =
-      Circuit.Large.step_response ~solver tree ~dt
-        ~t_end:(float_of_int steps *. dt) ~outputs:outs
-    in
-    ((Unix.gettimeofday () -. t0) /. float_of_int steps *. 1e3, List.map snd w)
-  in
-  let max_abs_err ws_a ws_b ~steps =
-    let m = ref 0. in
-    List.iter2
-      (fun wa wb ->
-        for k = 0 to steps do
-          let t = float_of_int k *. dt in
-          m :=
-            Float.max !m
-              (Float.abs (Circuit.Waveform.value_at wa t -. Circuit.Waveform.value_at wb t))
-        done)
-      ws_a ws_b;
-    !m
-  in
-  let workloads =
-    if quick then
-      [
-        ("deep-chain-400", Circuit.Large.rc_chain ~sections:400 ~r:10. ~c:1e-13, 20, `All);
-        ("deep-chain-2k", Circuit.Large.rc_chain ~sections:2000 ~r:10. ~c:1e-13, 50, `No_dense);
-        ("star-1k", star_tree ~arms:20 ~sections:50, 50, `No_dense);
-        ("balanced-1k", balanced_tree ~levels:9, 50, `No_dense);
-      ]
-    else
-      [
-        ("deep-chain-1k", Circuit.Large.rc_chain ~sections:1000 ~r:10. ~c:1e-13, 50, `All);
-        ("deep-chain-10k", Circuit.Large.rc_chain ~sections:10_000 ~r:10. ~c:1e-13, 100, `No_dense);
-        ("deep-chain-100k", Circuit.Large.rc_chain ~sections:100_000 ~r:10. ~c:1e-13, 20, `No_dense);
-        ("deep-chain-1m", Circuit.Large.rc_chain ~sections:1_000_000 ~r:10. ~c:1e-13, 20, `Direct_only);
-        ("star-10k", star_tree ~arms:100 ~sections:100, 100, `No_dense);
-        ("balanced-16k", balanced_tree ~levels:13, 100, `No_dense);
-      ]
-  in
-  List.map
-    (fun (name, tree, steps, cover) ->
-      let out = Rctree.Tree.output_named tree "out" in
-      let nodes = Rctree.Tree.node_count tree - 1 in
-      (* compare at the far output and at the first node past the
-         input, where the voltage is O(1) this early in the step *)
-      let outs = List.sort_uniq compare [ 1; out ] in
-      let direct_ms, wd = measure `Direct tree outs ~steps in
-      let cg, err =
-        match cover with
-        | `Direct_only -> ([], None)
-        | `All | `No_dense ->
-            let cg_ms, wc = measure `Cg tree outs ~steps in
-            ([ ("cg", cg_ms) ], Some (max_abs_err wd wc ~steps))
-      in
-      let dense =
-        match cover with
-        | `All -> [ ("dense", fst (measure `Dense tree outs ~steps)) ]
-        | `No_dense | `Direct_only -> []
-      in
-      (name, nodes, dt, steps, (("direct", direct_ms) :: cg) @ dense, err))
-    workloads
-
-let print_treesolve rows =
-  print_endline "== PR5: per-step solve cost — factor-once tree LDL^T vs CG vs dense LU ==";
-  let t =
-    Reprolib.Table.create
-      ~columns:[ "workload"; "nodes"; "direct(ms)"; "cg(ms)"; "dense(ms)"; "cg err" ]
-  in
-  List.iter
-    (fun (name, nodes, _, _, per_step, err) ->
-      let at s = match List.assoc_opt s per_step with Some v -> Printf.sprintf "%.3f" v | None -> "-" in
-      Reprolib.Table.add_row t
-        [
-          name; string_of_int nodes; at "direct"; at "cg"; at "dense";
-          (match err with Some e -> Printf.sprintf "%.1e" e | None -> "-");
-        ])
-    rows;
-  Reprolib.Table.print t;
-  print_newline ()
-
-let write_bench_pr5_json rows =
-  let path = Option.value (Sys.getenv_opt "BENCH_PR5_JSON") ~default:"BENCH_PR5.json" in
-  let open Obs.Json in
-  let workloads =
-    Object
-      (List.map
-         (fun (name, nodes, dt, steps, per_step, err) ->
-           let direct = List.assoc "direct" per_step in
-           ( name,
-             Object
-               (List.concat
-                  [
-                    [
-                      ("nodes", Number (float_of_int nodes));
-                      ("dt", Number dt);
-                      ("steps", Number (float_of_int steps));
-                      ("ms_per_step", Object (List.map (fun (s, v) -> (s, Number v)) per_step));
-                    ];
-                    (match List.assoc_opt "cg" per_step with
-                    | Some cg when direct > 0. ->
-                        [ ("speedup_direct_vs_cg", Number (cg /. direct)) ]
-                    | _ -> []);
-                    (match err with
-                    | Some e -> [ ("max_abs_err_direct_vs_cg", Number e) ]
-                    | None -> []);
-                  ]) ))
-         rows)
-  in
-  let doc = Object [ ("cg_tol", Number 1e-10); ("workloads", workloads); ("quick", Bool quick) ] in
-  let oc = open_out path in
-  output_string oc (to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* the deepest chain that ran both solvers is the smoke gate: the
-   direct solver must beat CG by >= 3x per step, or the bench fails *)
-let treesolve_smoke rows =
-  let deepest =
-    List.fold_left
-      (fun acc (name, nodes, _, _, per_step, _) ->
-        match (List.assoc_opt "cg" per_step, acc) with
-        | None, _ -> acc
-        | Some _, Some (_, best, _, _) when nodes <= best -> acc
-        | Some cg, _ -> Some (name, nodes, List.assoc "direct" per_step, cg))
-      None
-      (List.filter (fun (name, _, _, _, _, _) -> String.length name >= 10
-                     && String.sub name 0 10 = "deep-chain") rows)
-  in
-  match deepest with
-  | None -> prerr_endline "treesolve smoke: no deep-chain workload ran CG"; exit 1
-  | Some (name, nodes, direct, cg) ->
-      let speedup = if direct > 0. then cg /. direct else infinity in
-      Printf.printf "treesolve smoke: %s (%d nodes): direct %.3f ms/step, cg %.3f ms/step (%.1fx)\n"
-        name nodes direct cg speedup;
-      if speedup < 3. then begin
-        Printf.eprintf
-          "treesolve smoke FAILED: direct must beat cg by >= 3x per step, got %.2fx\n" speedup;
-        exit 1
-      end
-
 (* machine-readable record for diffing future PRs: per-experiment
    ns/op from the Bechamel phase plus the Obs counters and span
    timings accumulated over the reproduction tables *)
@@ -830,10 +637,6 @@ let () =
   print_parallel parallel;
   let incr = incremental_stats () in
   print_incremental incr;
-  let treesolve = treesolve_rows () in
-  print_treesolve treesolve;
   write_bench_json bench_rows;
   write_bench_pr2_json parallel;
-  write_bench_pr3_json incr;
-  write_bench_pr5_json treesolve;
-  treesolve_smoke treesolve
+  write_bench_pr3_json incr

@@ -1,3 +1,5 @@
+open Numeric
+
 type stats = { iterations : int; residual_norm : float }
 
 exception Not_converged of stats

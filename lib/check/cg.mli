@@ -1,9 +1,13 @@
 (** Conjugate gradients for symmetric positive-definite systems.
 
     The matrix appears only through a multiply callback, so callers can
-    keep it sparse or never form it at all (the circuit simulator
-    applies [(C/dt + G)] straight off the tree structure).  Optional
-    Jacobi (diagonal) preconditioning. *)
+    keep it sparse or never form it at all (the CG oracle stepper,
+    {!Stepper}, applies [(C/dt + G)] straight off the tree structure).
+    Optional Jacobi (diagonal) preconditioning.  An oracle: the
+    production stepper solves its tree systems directly
+    ({!Numeric.Tree_ldl}). *)
+
+open Numeric
 
 type stats = { iterations : int; residual_norm : float }
 

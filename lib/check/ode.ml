@@ -1,3 +1,5 @@
+open Numeric
+
 type scheme = Backward_euler | Trapezoidal
 
 let m_steppers = Obs.Counter.make "ode.steppers"

@@ -8,7 +8,12 @@
     floor capacitance) and [G] (conductance), input waveform [u].
 
     Both methods factor their iteration matrix once, so a full transient
-    costs one LU decomposition plus one triangular solve per step. *)
+    costs one LU decomposition plus one triangular solve per step.  The
+    dense oracle stepper ({!Stepper}'s [`Dense]) steps the MNA system
+    with them; trapezoidal is taken in the [(2C/dt - G)] form, not the
+    production stepper's midpoint form. *)
+
+open Numeric
 
 type stepper
 

@@ -66,9 +66,8 @@ let registry =
       "Circuit.Transient backward-Euler ODE integration (L-stable against the stiff \
        ghost-capacitance modes), and the area identity area_above_response = T_De of the \
        lumped tree" );
-    ( "Numeric.Tree_ldl via Circuit.Large/Transient [`Direct] (factor-once zero-fill-in tree \
-       LDL^T)",
-      "the [`Cg] matrix-free conjugate-gradient path and the [`Dense] MNA + LU path stepping \
+    ( "Circuit.Large.run (factor-once zero-fill-in tree LDL^T, Numeric.Tree_ldl)",
+      "Check.Stepper's [`Cg] matrix-free conjugate-gradient and [`Dense] MNA + LU steppers of \
        the same discrete system, backward Euler and trapezoidal" );
     ("Spice.Printer decks", "Spice.Parser + Elaborate round-trip under legal deck noise");
     ( "Incremental.apply (memoized spine re-evaluation)",

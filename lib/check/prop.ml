@@ -141,7 +141,7 @@ let run_transient o =
        the tolerance *)
     let dt = tau /. 800. in
     let res =
-      Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler ~solver:`Direct
+      Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler
         (Oracle.lumped o) ~dt ~t_end:(3. *. tau) ~input:Circuit.Transient.step_input
     in
     let wf = Circuit.Transient.waveform res ~node in
@@ -165,16 +165,25 @@ let run_direct_solver o =
     let node = Oracle.lumped_output o in
     let tau = Circuit.Exact.dominant_time_constant (Oracle.exact o) in
     let dt = tau /. 100. and t_end = tau in
-    let be solver =
-      List.assoc node
-        (Circuit.Large.step_response ~solver tree ~dt ~t_end ~outputs:[ node ])
+    let be_direct =
+      List.assoc node (Circuit.Large.step_response tree ~dt ~t_end ~outputs:[ node ])
     in
-    let trap solver =
+    let be engine =
+      List.assoc node
+        (Stepper.simulate engine ~integration:Circuit.Transient.Backward_euler ~nodes:[ node ]
+           tree ~dt ~t_end ~input:Circuit.Transient.step_input)
+    in
+    let trap_direct =
       let r =
-        Circuit.Transient.simulate ~integration:Circuit.Transient.Trapezoidal ~solver tree ~dt
-          ~t_end ~input:Circuit.Transient.step_input
+        Circuit.Transient.simulate ~integration:Circuit.Transient.Trapezoidal tree ~dt ~t_end
+          ~input:Circuit.Transient.step_input
       in
       Circuit.Transient.waveform r ~node
+    in
+    let trap_dense =
+      List.assoc node
+        (Stepper.simulate `Dense ~integration:Circuit.Transient.Trapezoidal ~nodes:[ node ] tree
+           ~dt ~t_end ~input:Circuit.Transient.step_input)
     in
     (* direct vs dense differ by factorization roundoff (~eps * kappa);
        CG only meets its relative-residual target, so it gets slack *)
@@ -190,13 +199,12 @@ let run_direct_solver o =
           else None)
         [ 0.1; 0.25; 0.5; 0.75; 1. ]
     in
-    let w_direct = be `Direct in
     match
       List.find_map Fun.id
         [
-          agree "direct LDL^T vs dense LU (backward Euler)" 1e-8 w_direct (be `Dense);
-          agree "direct LDL^T vs CG (backward Euler)" 1e-6 w_direct (be `Cg);
-          agree "direct LDL^T vs dense LU (trapezoidal)" 1e-8 (trap `Direct) (trap `Dense);
+          agree "direct LDL^T vs dense LU (backward Euler)" 1e-8 be_direct (be `Dense);
+          agree "direct LDL^T vs CG (backward Euler)" 1e-6 be_direct (be `Cg);
+          agree "direct LDL^T vs dense LU (trapezoidal)" 1e-8 trap_direct trap_dense;
         ]
     with
     | Some f -> f

@@ -1,3 +1,5 @@
+open Numeric
+
 type t = {
   rows : int;
   cols : int;

@@ -1,10 +1,12 @@
 (** Compressed sparse row matrices.
 
-    The dense kernels are fine for the paper-sized networks; sparse
-    storage is the on-ramp for the large ones (an RC tree's conductance
-    matrix has ≤ 3 entries per row).  Construction goes through
-    triplets; duplicate coordinates accumulate, as produced naturally by
-    stamping. *)
+    Storage for {!Cg.solve_sparse} and the oracle tests; the production
+    stepper needs no general sparse matrix, since an RC tree's matrix
+    has the tree as its graph ({!Numeric.Tree_ldl}).  Construction goes
+    through triplets; duplicate coordinates accumulate, as produced
+    naturally by stamping. *)
+
+open Numeric
 
 type t
 

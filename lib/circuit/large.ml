@@ -1,7 +1,6 @@
 let m_solves = Obs.Counter.make "large.step_responses"
 let m_timesteps = Obs.Counter.make "large.timesteps"
 
-type solver = [ `Direct | `Cg | `Dense ]
 type integration = Backward_euler | Trapezoidal
 
 type operator = {
@@ -65,23 +64,6 @@ let source_rows op =
   done;
   !acc
 
-(* Edges scatter into their parent in descending row order, after
-   every row's own terms, so each row adds its children's terms from
-   the highest row down.  That order is part of the answer: changing it
-   moves waveforms by an ulp. *)
-
-let diagonal op =
-  let rows = node_count op in
-  let below = Array.make rows 0. in
-  for r = rows - 1 downto 0 do
-    let p = op.parent_row.(r) in
-    if p <> -1 then below.(p) <- below.(p) +. op.conductance.(r)
-  done;
-  for r = 0 to rows - 1 do
-    below.(r) <- op.c_over_dt.(r) +. op.conductance.(r) +. below.(r)
-  done;
-  below
-
 (* y = (C/dt + G) x into a caller buffer, walking edges instead of a matrix *)
 let apply_into op x ~into:y =
   let rows = Array.length op.conductance in
@@ -127,7 +109,7 @@ let check_grid ~who ~dt ~t_end ~traces =
           values (Large.max_grid_values)"
          who steps traces max_grid_values)
 
-let run ?cap_floor ~integration ~solver tree ~dt ~u ~record ~into =
+let run ?cap_floor ~integration tree ~dt ~u ~record ~into =
   let samples = Array.length u in
   if samples = 0 then invalid_arg "Large.run: empty input";
   let op =
@@ -188,76 +170,52 @@ let run ?cap_floor ~integration ~solver tree ~dt ~u ~record ~into =
       Array.blit x row block (base + j) len
     done
   in
+  (* the operator is (C/dt' + G) with dt' = dt (backward Euler) or
+     dt/2 (trapezoidal), so [c_over_dt] is C/dt or 2C/dt.
+     Backward Euler: (C/dt + G) x_{n+1} = C/dt x_n + g u_{n+1}.
+     Trapezoidal, in midpoint form: with A = 2C/dt + G,
+     A x_{n+1} = (2C/dt - G) x_n + g (u_n + u_{n+1}) is, for
+     x_{n+1} = 2w - x_n, A w = 2C/dt x_n + g (u_n + u_{n+1})/2.
+     Either way the right-hand side is the [c_over_dt] diagonal times
+     the state plus the source rows' [g u], with no G x product; the
+     pass after each solve that finishes the state also leaves the
+     next step's [c_over_dt x] in the spare buffer (zero for the
+     discharged start). *)
+  let f = factor op in
+  let sources = Array.of_list (List.map fst (source_rows op)) in
+  let c_x = ref (Array.make rows 0.) in
   (* [advance k] moves the state from sample [k - 1] to sample [k] *)
-  let advance =
-    match solver with
-    | `Dense ->
-        (* the oracle: dense MNA stamping + LU, same row numbering *)
-        let sys = Mna.of_tree ?cap_floor tree in
-        let c = Mna.c_matrix sys and g = sys.Mna.g and b = sys.Mna.b in
-        let stepper =
-          match integration with
-          | Backward_euler -> Numeric.Ode.backward_euler ~c ~g ~b ~dt
-          | Trapezoidal -> Numeric.Ode.trapezoidal ~c ~g ~b ~dt
-        in
-        fun k -> x := Numeric.Ode.step stepper ~x:!x ~u_now:u.(k - 1) ~u_next:u.(k)
-    | (`Direct | `Cg) as solver ->
-        (* the operator is (C/dt' + G) with dt' = dt (backward Euler)
-           or dt/2 (trapezoidal), so [c_over_dt] is C/dt or 2C/dt *)
-        let solve =
-          match solver with
-          | `Direct ->
-              let f = factor op in
-              fun b ->
-                Numeric.Tree_ldl.solve_in_place f b;
-                b
-          | `Cg ->
-              let diag = diagonal op in
-              fun b -> fst (Numeric.Cg.solve ~diag_precondition:diag ~mul:(apply op) b)
-        in
-        (* Backward Euler: (C/dt + G) x_{n+1} = C/dt x_n + g u_{n+1}.
-           Trapezoidal, in midpoint form: with A = 2C/dt + G,
-           A x_{n+1} = (2C/dt - G) x_n + g (u_n + u_{n+1}) is, for
-           x_{n+1} = 2w - x_n, A w = 2C/dt x_n + g (u_n + u_{n+1})/2.
-           Either way the right-hand side is the [c_over_dt] diagonal
-           times the state plus the source rows' [g u], with no G x
-           product; the pass after each solve that finishes the state
-           also leaves the next step's [c_over_dt x] in the spare
-           buffer (zero for the discharged start). *)
-        let sources = Array.of_list (List.map fst (source_rows op)) in
-        let c_x = ref (Array.make rows 0.) in
-        fun k ->
-          let x_now = !x and b = !c_x in
-          let u_src =
-            match integration with
-            | Backward_euler -> u.(k)
-            | Trapezoidal -> 0.5 *. (u.(k - 1) +. u.(k))
-          in
-          for i = 0 to Array.length sources - 1 do
-            let r = sources.(i) in
-            b.(r) <- b.(r) +. (op.conductance.(r) *. u_src)
-          done;
-          let w = solve b in
-          (match integration with
-          | Backward_euler ->
-              for r = 0 to rows - 1 do
-                x_now.(r) <- op.c_over_dt.(r) *. w.(r)
-              done
-          | Trapezoidal ->
-              for r = 0 to rows - 1 do
-                let v = (2. *. w.(r)) -. x_now.(r) in
-                (* flushed below 2 Float.min_float (0x1p-1021): the
-                   solve flushes w below Float.min_float, so a state
-                   under twice that could get w = 0 and come back as
-                   -x_n, ringing at +-3e-308 instead of decaying; at or
-                   above it, a step that keeps its sign has w >= x_n/2,
-                   which the solve keeps *)
-                let v = if Float.abs v < 0x1p-1021 then 0. else v in
-                w.(r) <- v;
-                x_now.(r) <- op.c_over_dt.(r) *. v
-              done);
-          c_x := x_now;
-          x := w
+  let advance k =
+    let x_now = !x and w = !c_x in
+    let u_src =
+      match integration with
+      | Backward_euler -> u.(k)
+      | Trapezoidal -> 0.5 *. (u.(k - 1) +. u.(k))
+    in
+    for i = 0 to Array.length sources - 1 do
+      let r = sources.(i) in
+      w.(r) <- w.(r) +. (op.conductance.(r) *. u_src)
+    done;
+    Numeric.Tree_ldl.solve_in_place f w;
+    (match integration with
+    | Backward_euler ->
+        for r = 0 to rows - 1 do
+          x_now.(r) <- op.c_over_dt.(r) *. w.(r)
+        done
+    | Trapezoidal ->
+        for r = 0 to rows - 1 do
+          let v = (2. *. w.(r)) -. x_now.(r) in
+          (* flushed below 2 Float.min_float (0x1p-1021): the solve
+             flushes w below Float.min_float, so a state under twice
+             that could get w = 0 and come back as -x_n, ringing at
+             +-3e-308 instead of decaying; at or above it, a step that
+             keeps its sign has w >= x_n/2, which the solve keeps *)
+          let v = if Float.abs v < 0x1p-1021 then 0. else v in
+          w.(r) <- v;
+          x_now.(r) <- op.c_over_dt.(r) *. v
+        done);
+    c_x := x_now;
+    x := w
   in
   record 0;
   for k = 1 to samples - 1 do
@@ -266,7 +224,7 @@ let run ?cap_floor ~integration ~solver tree ~dt ~u ~record ~into =
     record k
   done
 
-let step_response ?cap_floor ?(solver = `Direct) tree ~dt ~t_end ~outputs =
+let step_response ?cap_floor tree ~dt ~t_end ~outputs =
   check_grid ~who:"Large.step_response" ~dt ~t_end ~traces:(List.length outputs);
   Obs.Span.with_ ~name:"circuit.large" @@ fun () ->
   Obs.Counter.incr m_solves;
@@ -279,7 +237,7 @@ let step_response ?cap_floor ?(solver = `Direct) tree ~dt ~t_end ~outputs =
   let record = Array.of_list outputs in
   let m = Array.length record in
   let into = Array.make (samples * m) 0. in
-  run ?cap_floor ~integration:Backward_euler ~solver tree ~dt ~u:(Array.make samples 1.) ~record
+  run ?cap_floor ~integration:Backward_euler tree ~dt ~u:(Array.make samples 1.) ~record
     ~into:[| into |];
   List.mapi
     (fun j node ->

@@ -5,39 +5,32 @@
     [dt' = dt] for backward Euler, [dt/2] for trapezoidal) is SPD and
     tree-structured, so it admits a perfect elimination order:
     leaf-to-root LDLᵀ factorization has {e zero} fill-in
-    ({!Numeric.Tree_ldl}).  The default [`Direct] solver factors once
-    per [(tree, dt)] in O(n) and then advances each time step with two
-    O(n) triangular sweeps in preallocated buffers — no per-step
-    allocation, no tolerance knob, no iteration count.  Memory stays
-    O(n), so million-node nets complete a full step response without a
-    dense matrix ever being formed.
+    ({!Numeric.Tree_ldl}).  {!run} factors once per [(tree, dt)] in
+    O(n) and then advances each time step with two O(n) triangular
+    sweeps in preallocated buffers — no per-step allocation, no
+    tolerance knob, no iteration count.  Memory stays O(n), so
+    million-node nets complete a full step response without a dense
+    matrix ever being formed.
 
     Every transient answer goes through {!run}: {!step_response} and
     {!Transient.simulate} only choose the time grid, the input samples
-    and the nodes to record.  Two slower solvers survive as oracles
-    behind the [solver] selector: [`Cg], the matrix-free
-    Jacobi-preconditioned conjugate-gradient iteration at
-    {!Numeric.Cg.solve}'s default relative residual of 1e-12 (its
-    per-step iteration count grows with chain depth on stiff nets), and
-    [`Dense], dense MNA stamping ({!Mna}) stepped by
-    {!Numeric.Ode.step}.  [`Direct] and [`Cg] share one right-hand-side
-    formation and differ only in the solve, so all three integrate the
-    same discrete system and agree to solver roundoff.  [`Direct] and
-    [`Cg] take the trapezoidal step in midpoint form: with
-    [A = 2C/dt + G], they solve [A w = (2C/dt) x_n + g (u_n + u_{n+1})/2]
-    and set [x_{n+1} = 2w - x_n], which is
+    and the nodes to record.  The trapezoidal step is taken in
+    midpoint form: with [A = 2C/dt + G], it solves
+    [A w = (2C/dt) x_n + g (u_n + u_{n+1})/2] and sets
+    [x_{n+1} = 2w - x_n], which is
     [A x_{n+1} = (2C/dt - G) x_n + g (u_n + u_{n+1})] without the [G x]
     product, so a trapezoidal step costs what a backward-Euler one
     does.
 
-    Accepts the same trees as {!Mna.of_tree} (lumped, positive edge
-    resistances). *)
+    The slower steppers it is checked against live outside the
+    library, in [Check.Stepper]: conjugate gradients over {!operator},
+    {!apply}, {!c_over_dt} and {!source_rows} (the same right-hand
+    side, a different solve), and dense MNA stamping ({!Mna}) stepped
+    by LU.
 
-type solver = [ `Direct | `Cg | `Dense ]
-(** [`Direct] — factor-once zero-fill-in tree LDLᵀ (the default);
-    [`Cg] — matrix-free conjugate gradients, one iterative solve per
-    step; [`Dense] — dense MNA stamping and LU, O(n²) memory, the
-    cross-check oracle for small nets. *)
+    Accepts the trees {!Mna.of_tree} accepts (lumped, positive edge
+    resistances), at any size: {!Mna.max_unknowns} bounds only the
+    dense paths. *)
 
 type integration = Backward_euler | Trapezoidal
 (** Backward Euler is first-order and L-stable; trapezoidal (the
@@ -55,8 +48,8 @@ val operator : ?cap_floor:float -> Rctree.Tree.t -> dt:float -> operator
     names the node). *)
 
 val apply : operator -> Numeric.Vector.t -> Numeric.Vector.t
-(** One operator application — exposed for testing against the dense
-    stamping. *)
+(** One operator application: the matrix of the conjugate-gradient
+    oracle, and a check on the dense stamping. *)
 
 val apply_into : operator -> Numeric.Vector.t -> into:Numeric.Vector.t -> unit
 (** {!apply} into a caller-owned buffer (no allocation). *)
@@ -68,10 +61,6 @@ val row : operator -> Rctree.Tree.node_id -> int
 (** Matrix row of a tree node: its id minus one, so [-1] for the
     driven input (node 0).  Raises [Invalid_argument] on an unknown
     node. *)
-
-val diagonal : operator -> Numeric.Vector.t
-(** The matrix diagonal — the Jacobi preconditioner of the [`Cg]
-    path. *)
 
 val c_over_dt : operator -> Numeric.Vector.t
 (** The [C/dt] diagonal by row — borrowed, do not mutate.  With the
@@ -102,7 +91,6 @@ val check_grid : who:string -> dt:float -> t_end:float -> traces:int -> unit
 val run :
   ?cap_floor:float ->
   integration:integration ->
-  solver:solver ->
   Rctree.Tree.t ->
   dt:float ->
   u:float array ->
@@ -127,7 +115,7 @@ val run :
     trapezoidal states below [2 Float.min_float] by the [2w - x_n]
     update, so no recorded sample is subnormal and a decaying state
     reaches 0.
-    Apart from setup, the [`Direct] path allocates nothing per step.
+    Apart from setup, nothing is allocated per step.
     Raises [Invalid_argument] on an empty [u], an unknown node in
     [record], an [into] whose first block holds no whole sample or
     whose blocks hold fewer than [Array.length u] samples, or an
@@ -136,7 +124,6 @@ val run :
 
 val step_response :
   ?cap_floor:float ->
-  ?solver:solver ->
   Rctree.Tree.t ->
   dt:float ->
   t_end:float ->
@@ -144,7 +131,6 @@ val step_response :
   (Rctree.Tree.node_id * Waveform.t) list
 (** Backward-Euler unit-step response on the grid [k·dt],
     [k = 0 … ⌈t_end/dt⌉], recording only the requested nodes.
-    [solver] selects the per-step linear solver (default [`Direct]).
     Raises [Invalid_argument] on bad [dt]/[t_end], a grid above
     {!max_grid_values} or unknown nodes. *)
 

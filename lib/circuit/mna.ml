@@ -6,12 +6,18 @@ type system = {
   row_of_node : int array;
 }
 
+exception Too_large of { unknowns : int; limit : int }
+
+let max_unknowns = 512
+
 let of_tree ?cap_floor tree =
   if Rctree.Tree.has_distributed_lines tree then
     invalid_arg "Mna.of_tree: discretize distributed lines first (Rctree.Lump.discretize)";
   let n = Rctree.Tree.node_count tree in
-  let input = Rctree.Tree.input tree in
   let rows = n - 1 in
+  (* before anything n² is allocated *)
+  if rows > max_unknowns then raise (Too_large { unknowns = rows; limit = max_unknowns });
+  let input = Rctree.Tree.input tree in
   let row_of_node = Array.make n (-1) in
   let node_of_row = Array.make rows 0 in
   let next = ref 0 in

@@ -19,6 +19,20 @@ type system = {
   row_of_node : int array;  (** inverse map; [-1] for the input node *)
 }
 
+exception Too_large of { unknowns : int; limit : int }
+(** A system of [unknowns] rows, above [limit] = {!max_unknowns}. *)
+
+val max_unknowns : int
+(** The largest system {!of_tree} stamps: 512 unknowns (tree nodes
+    minus the input).  The dense paths cost O(n²) memory and O(n³)
+    time.  The slowest is {!Exact}'s Jacobi eigendecomposition, which
+    on an RC chain took 3.7 s at 256 unknowns, 25 s at 512 and 100 s
+    at 768 (2-vCPU x86-64 host; DESIGN.md §5f has the curve), so the
+    limit keeps a dense answer under about half a minute.  Every test,
+    example and corpus deck, and Fig. 11 at 64 segments, stay at or
+    below 257.  Larger trees take the O(n) stepper ({!Large},
+    {!Transient}). *)
+
 val of_tree : ?cap_floor:float -> Rctree.Tree.t -> system
 (** [of_tree t] stamps the system.  Every node is given at least
     [cap_floor] capacitance so that [C] is invertible; the default is
@@ -29,7 +43,8 @@ val of_tree : ?cap_floor:float -> Rctree.Tree.t -> system
     Raises [Invalid_argument] when the tree still contains distributed
     lines or a zero-resistance edge (which would make [G] infinite —
     merge such nodes first), or a resistance so small that [1/R] is not
-    finite. *)
+    finite.  Raises {!Too_large} above {!max_unknowns} unknowns, before
+    anything of size n² is allocated. *)
 
 val c_matrix : system -> Numeric.Matrix.t
 (** The diagonal [C] as a full matrix, for the ODE steppers. *)

@@ -1,5 +1,4 @@
 type integration = Large.integration = Backward_euler | Trapezoidal
-type solver = Large.solver
 
 let m_simulations = Obs.Counter.make "transient.simulations"
 let m_nodes = Obs.Histogram.make "transient.nodes_per_sim"
@@ -25,8 +24,7 @@ let ramp_input ~rise_time t =
   if rise_time <= 0. then invalid_arg "Transient.ramp_input: rise_time must be positive";
   if t <= 0. then 0. else if t >= rise_time then 1. else t /. rise_time
 
-let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor ?nodes tree ~dt ~t_end
-    ~input =
+let grid ?nodes tree ~dt ~t_end =
   let n = Rctree.Tree.node_count tree in
   let recorded =
     match nodes with
@@ -38,10 +36,7 @@ let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor ?nodes 
           nodes;
         Array.of_list (List.sort_uniq Int.compare nodes)
   in
-  let m = Array.length recorded in
-  Large.check_grid ~who:"Transient.simulate" ~dt ~t_end ~traces:m;
-  Obs.Span.with_ ~name:"circuit.transient" @@ fun () ->
-  Obs.Counter.incr m_simulations;
+  Large.check_grid ~who:"Transient.simulate" ~dt ~t_end ~traces:(Array.length recorded);
   (* time advances by accumulated dt until it reaches t_end *)
   let rec count t k = if t >= t_end then k else count (t +. dt) (k + 1) in
   let samples = count 0. 1 in
@@ -49,6 +44,16 @@ let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor ?nodes 
   for k = 1 to samples - 1 do
     times.(k) <- times.(k - 1) +. dt
   done;
+  (recorded, times)
+
+let simulate ?(integration = Trapezoidal) ?solver:(_ : [ `Direct ] option) ?cap_floor ?nodes tree
+    ~dt ~t_end ~input =
+  let n = Rctree.Tree.node_count tree in
+  let recorded, times = grid ?nodes tree ~dt ~t_end in
+  let m = Array.length recorded in
+  Obs.Span.with_ ~name:"circuit.transient" @@ fun () ->
+  Obs.Counter.incr m_simulations;
+  let samples = Array.length times in
   let column = Array.make n (-1) in
   Array.iteri (fun j node -> column.(node) <- j) recorded;
   let per_block = max 1 (block_floats / max 1 m) in
@@ -58,7 +63,7 @@ let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor ?nodes 
       (((samples - 1) / per_block) + 1)
       (fun b -> Array.create_float (m * min per_block (samples - (b * per_block))))
   in
-  Large.run ?cap_floor ~integration ~solver tree ~dt ~u:(Array.map input times) ~record:recorded
+  Large.run ?cap_floor ~integration tree ~dt ~u:(Array.map input times) ~record:recorded
     ~into:blocks;
   Obs.Histogram.observe m_nodes (float_of_int (n - 1));
   { times; recorded; column; per_block; blocks }

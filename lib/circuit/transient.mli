@@ -10,19 +10,14 @@
     samples the input on its time grid and records the requested nodes
     (every node by default) into a sample-major record, which the
     abstract {!result} keeps as it is; {!waveform} and
-    {!final_voltages} read from it on demand.  The
-    [solver] selector is {!Large.solver}: the default [`Direct] factors
-    the tree-structured iteration matrix once with the zero-fill-in
-    LDLᵀ of {!Numeric.Tree_ldl} and advances every step with two O(n)
-    sweeps; [`Cg] keeps the matrix-free conjugate-gradient iteration
-    alive (relative residual 1e-12); [`Dense] is the dense MNA + LU
-    path, kept as the oracle the sparse solvers are verified against
-    (property [direct-solver]).  All three integrate the same discrete
-    system, so they agree to solver roundoff. *)
+    {!final_voltages} read from it on demand.  The step factors the
+    tree-structured iteration matrix once with the zero-fill-in LDLᵀ of
+    {!Numeric.Tree_ldl} and advances with two O(n) sweeps.  The
+    conjugate-gradient and dense MNA + LU steppers it is verified
+    against (property [direct-solver]) are oracles in [Check.Stepper],
+    on the same time grid ({!grid}). *)
 
 type integration = Large.integration = Backward_euler | Trapezoidal
-
-type solver = Large.solver
 
 type result
 (** The time grid plus a sample-major record of the recorded nodes'
@@ -32,7 +27,7 @@ type result
 
 val simulate :
   ?integration:integration ->
-  ?solver:solver ->
+  ?solver:[ `Direct ] ->
   ?cap_floor:float ->
   ?nodes:Rctree.Tree.node_id list ->
   Rctree.Tree.t ->
@@ -48,7 +43,20 @@ val simulate :
     Requirements on the tree are those of {!Mna.of_tree}.  Raises
     [Invalid_argument] for non-positive [dt], negative [t_end], an
     unknown node in [nodes] or a grid (recorded nodes) above
-    {!Large.max_grid_values}. *)
+    {!Large.max_grid_values}.  [solver] has the one value [`Direct],
+    accepted so that callers which name it need not change. *)
+
+val grid :
+  ?nodes:Rctree.Tree.node_id list ->
+  Rctree.Tree.t ->
+  dt:float ->
+  t_end:float ->
+  Rctree.Tree.node_id array * float array
+(** The recorded nodes (ascending, each once) and the sample times of
+    {!simulate} for the same arguments, with its checks, messages and
+    their order: an unknown node first, then the grid
+    ({!Large.check_grid}).  For a stepper that must sample and record
+    exactly as {!simulate} does. *)
 
 val step_input : float -> float
 (** The unit step: 0 for [t < 0], 1 from [t = 0] on (the 0+ value,

@@ -25,8 +25,10 @@
    Exit codes: 0 success, 1 run-time failure (including a failed
    certification), 2 bad input — a command line that does not parse, a
    deck or netlist that does not parse or elaborate, a deck value or a
-   flag the analysis rejects, or a time grid above
-   Circuit.Large.max_grid_values.  125 is an internal error. *)
+   flag the analysis rejects, a time grid above
+   Circuit.Large.max_grid_values, or a network above
+   Circuit.Mna.max_unknowns for the dense paths (simulate, ac,
+   transient --solver dense).  125 is an internal error. *)
 
 let load_tree path =
   match Spice.Parser.parse_file path with
@@ -37,8 +39,9 @@ let load_tree path =
       | Ok tree -> Ok tree)
 
 (* bad input is exit 2, distinct from analysis failures (exit 1): a
-   deck that does not load, or a value in it (or a flag) that a library
-   layer rejects with Invalid_argument *)
+   deck that does not load, a value in it (or a flag) that a library
+   layer rejects with Invalid_argument, or a network too large for the
+   dense solver *)
 let with_tree path f =
   match Result.map f (load_tree path) with
   | Ok code -> code
@@ -47,6 +50,12 @@ let with_tree path f =
       2
   | exception Invalid_argument msg ->
       Printf.eprintf "%s: %s\n%!" path msg;
+      2
+  | exception Circuit.Mna.Too_large { unknowns; limit } ->
+      Printf.eprintf
+        "%s: %d unknowns, above the dense solver's limit of %d (Circuit.Mna.max_unknowns); \
+         `rcdelay transient` with the default direct solver steps a network of any size\n%!"
+        path unknowns limit;
       2
 
 let fmt_s t = Rctree.Units.format_quantity ~unit_symbol:"s" t
@@ -155,9 +164,9 @@ let simulate_cmd path t_end samples segments =
       end)
 
 (* time-stepping counterpart of [simulate]: same CSV shape, but through
-   Circuit.Transient with the per-step solver selectable, so waveforms
-   from the factor-once tree LDL^T can be diffed against the CG and
-   dense-LU oracles from the shell *)
+   Circuit.Transient, or through one of the Check.Stepper oracles, so
+   waveforms from the factor-once tree LDL^T can be diffed against the
+   CG and dense-LU steppers from the shell *)
 let transient_cmd path dt t_end solver integration samples segments =
   with_tree path (fun tree ->
       let bad msg =
@@ -188,16 +197,25 @@ let transient_cmd path dt t_end solver integration samples segments =
                   Rctree.Lump.discretize ~segments tree
                 else tree
               in
-              let res =
-                Circuit.Transient.simulate ~integration ~solver lumped ~dt ~t_end
-                  ~nodes:
-                    (Rctree.Tree.input lumped :: List.map snd (Rctree.Tree.outputs lumped))
-                  ~input:Circuit.Transient.step_input
+              let nodes =
+                Rctree.Tree.input lumped :: List.map snd (Rctree.Tree.outputs lumped)
+              in
+              let input = Circuit.Transient.step_input in
+              let waveform =
+                match solver with
+                | `Direct ->
+                    let res =
+                      Circuit.Transient.simulate ~integration lumped ~dt ~t_end ~nodes ~input
+                    in
+                    fun id -> Circuit.Transient.waveform res ~node:id
+                | #Check.Stepper.engine as engine ->
+                    let waves =
+                      Check.Stepper.simulate engine ~integration lumped ~dt ~t_end ~nodes ~input
+                    in
+                    fun id -> List.assoc id waves
               in
               let waves =
-                List.map
-                  (fun (label, id) -> (label, Circuit.Transient.waveform res ~node:id))
-                  (Rctree.Tree.outputs lumped)
+                List.map (fun (label, id) -> (label, waveform id)) (Rctree.Tree.outputs lumped)
               in
               let times =
                 Array.init samples (fun i ->
@@ -588,14 +606,15 @@ let stats_cmd () =
         (Circuit.Transient.simulate lumped ~dt:5. ~t_end:100.
            ~input:Circuit.Transient.step_input);
       ignore
-        (Circuit.Transient.simulate ~solver:`Dense lumped ~dt:5. ~t_end:100.
+        (Check.Stepper.simulate `Dense lumped ~dt:5. ~t_end:100.
            ~input:Circuit.Transient.step_input);
       ignore (Circuit.Exact.of_tree lumped);
       let chain = Circuit.Large.rc_chain ~sections:64 ~r:10. ~c:1e-13 in
       let out = Rctree.Tree.output_named chain "out" in
       ignore (Circuit.Large.step_response chain ~dt:1e-10 ~t_end:2e-9 ~outputs:[ out ]);
       ignore
-        (Circuit.Large.step_response ~solver:`Cg chain ~dt:1e-10 ~t_end:2e-9 ~outputs:[ out ]);
+        (Check.Stepper.simulate `Cg ~integration:Backward_euler ~nodes:[ out ] chain ~dt:1e-10
+           ~t_end:2e-9 ~input:Circuit.Transient.step_input);
       let adder = Sta.Generate.ripple_carry_adder ~bits:4 () in
       ignore (Sta.Report.timing_report (Sta.Analysis.run_exn adder));
       (* the query handle: every node of the chain from its one
@@ -801,9 +820,14 @@ let solver_arg =
     value & opt string "direct"
     & info [ "solver" ] ~docv:"NAME"
         ~doc:
-          "Per-step linear solver: $(b,direct) (factor-once zero-fill-in tree LDL^T, the \
-           default), $(b,cg) (matrix-free conjugate gradients) or $(b,dense) (MNA + LU).  \
-           All three produce the same waveform to solver roundoff.")
+          (Printf.sprintf
+             "Per-step linear solver: $(b,direct) (factor-once zero-fill-in tree LDL^T, the \
+              default) or one of the two oracles it is checked against, which step the same \
+              discrete system: $(b,cg) (matrix-free conjugate gradients, stopped at a relative \
+              residual of 1e-12 of the right-hand side, so values below about 1e-9 of the \
+              swing are not converged and may be off by a factor of 2 or read 0) or \
+              $(b,dense) (MNA + LU, O(n^2) memory, at most %d unknowns)."
+             Circuit.Mna.max_unknowns))
 
 let integration_arg =
   Arg.(

@@ -131,6 +131,25 @@ let mna_tests =
     Alcotest.test_case "explicit cap floor respected" `Quick (fun () ->
         let sys = of_tree ~cap_floor:0.5 (ladder2 ()) in
         Array.iter (fun c -> check_bool ">=0.5" true (c >= 0.5)) sys.c);
+    Alcotest.test_case "a system above max_unknowns is refused with its size" `Quick (fun () ->
+        let chain n = Circuit.Large.rc_chain ~sections:n ~r:1. ~c:1. in
+        check_int "at the limit" max_unknowns
+          (Numeric.Matrix.rows (of_tree (chain max_unknowns)).g);
+        let over = chain (max_unknowns + 1) in
+        let refused name f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Too_large" name
+          | exception Too_large { unknowns; limit } ->
+              check_int (name ^ " unknowns") (max_unknowns + 1) unknowns;
+              check_int (name ^ " limit") max_unknowns limit
+        in
+        refused "Mna" (fun () -> ignore (of_tree over));
+        refused "Exact" (fun () -> ignore (Circuit.Exact.of_tree over));
+        refused "Ac" (fun () -> ignore (Circuit.Ac.of_tree over));
+        (* the O(n) stepper has no such limit *)
+        let out = Rctree.Tree.output_named over "out" in
+        check_int "stepper" 1
+          (List.length (Circuit.Large.step_response over ~dt:1. ~t_end:2. ~outputs:[ out ])));
   ]
 
 let exact_tests =
@@ -401,8 +420,13 @@ let large_tests =
         let out = Rctree.Tree.output_named tree "out" in
         let tau = Rctree.Moments.elmore tree ~output:out in
         let dt = tau /. 50. and t_end = tau in
-        let run solver = List.assoc out (step_response ~solver tree ~dt ~t_end ~outputs:[ out ]) in
-        let wd = run `Direct and wc = run `Cg and wl = run `Dense and wd2 = run `Direct in
+        let direct () = List.assoc out (step_response tree ~dt ~t_end ~outputs:[ out ]) in
+        let oracle engine =
+          List.assoc out
+            (Check.Stepper.simulate engine ~integration:Backward_euler ~nodes:[ out ] tree ~dt
+               ~t_end ~input:Circuit.Transient.step_input)
+        in
+        let wd = direct () and wc = oracle `Cg and wl = oracle `Dense and wd2 = direct () in
         List.iter
           (fun f ->
             let t = f *. tau in
@@ -484,8 +508,7 @@ let large_tests =
           done;
           let into = Array.make (steps + 1) 0. in
           words (fun () ->
-              run ~integration:Trapezoidal ~solver:`Direct tree ~dt ~u ~record:[| out |]
-                ~into:[| into |])
+              run ~integration:Trapezoidal tree ~dt ~u ~record:[| out |] ~into:[| into |])
         in
         List.iter
           (fun (rule, delta) ->
@@ -566,7 +589,7 @@ let large_tests =
         let samples = 4 and dt = 0.5 in
         let u = Array.make samples 1. in
         let run ~record ~into =
-          run ~integration:Backward_euler ~solver:`Direct tree ~dt ~u ~record ~into
+          run ~integration:Backward_euler tree ~dt ~u ~record ~into
         in
         let flat n = Array.make n (-1.) in
         check_invalid "into one short" (fun () ->
@@ -663,7 +686,7 @@ let large_tests =
           let rows = Rctree.Tree.node_count tree - 1 in
           let samples = Array.length u in
           let into = Array.make (samples * rows) 0. in
-          run ~integration:Trapezoidal ~solver:`Direct tree ~dt ~u
+          run ~integration:Trapezoidal tree ~dt ~u
             ~record:(Array.init rows (fun r -> r + 1))
             ~into:[| into |];
           let reference = trapezoidal_reference tree ~dt ~u in
@@ -688,7 +711,7 @@ let large_tests =
         let tree = rc_chain ~sections ~r:1. ~c:1. in
         let samples = 21 in
         let into = Array.make (samples * sections) 0. in
-        run ~integration:Trapezoidal ~solver:`Direct tree ~dt:1. ~u:(Array.make samples 1.)
+        run ~integration:Trapezoidal tree ~dt:1. ~u:(Array.make samples 1.)
           ~record:(Array.init sections (fun r -> r + 1))
           ~into:[| into |];
         let subnormal = ref 0 and tiny = ref 0 in
@@ -708,7 +731,7 @@ let large_tests =
         let pole = rc_chain ~sections:1 ~r:1. ~c:1. in
         let samples = 800 in
         let into = Array.make samples 1. in
-        run ~cap_floor:0. ~integration:Trapezoidal ~solver:`Direct pole ~dt:1.
+        run ~cap_floor:0. ~integration:Trapezoidal pole ~dt:1.
           ~u:(Array.init samples (fun k -> if k < 2 then 1. else 0.))
           ~record:[| 1 |] ~into:[| into |];
         check_bool "decay: no subnormal sample" true
@@ -746,6 +769,80 @@ let large_tests =
             check_invalid "unrecorded node" (fun () -> Circuit.Transient.waveform part ~node:8);
             check_invalid "unknown node" (fun () -> sim ~nodes:[ 2001 ] ()))
           [ Circuit.Transient.Trapezoidal; Circuit.Transient.Backward_euler ]);
+    Alcotest.test_case "direct beats the CG oracle by 3x per step on a deep chain" `Quick
+      (fun () ->
+        (* the stiff chain of BENCH_PR5.json, where the recorded gap was
+           971x at 1 000 nodes: CG's iterations per step grow with depth,
+           the two sweeps do not; setup is counted in both *)
+        let tree = rc_chain ~sections:2000 ~r:10. ~c:1e-13 in
+        let out = Rctree.Tree.output_named tree "out" in
+        let dt = 1e-10 and steps = 20 in
+        let t_end = float_of_int steps *. dt in
+        let per_step f =
+          let t0 = Unix.gettimeofday () in
+          ignore (f ());
+          (Unix.gettimeofday () -. t0) /. float_of_int steps
+        in
+        let direct () = per_step (fun () -> step_response tree ~dt ~t_end ~outputs:[ out ]) in
+        let direct = Float.min (direct ()) (direct ()) in
+        let cg =
+          per_step (fun () ->
+              Check.Stepper.simulate `Cg ~integration:Backward_euler ~nodes:[ out ] tree ~dt
+                ~t_end ~input:Circuit.Transient.step_input)
+        in
+        check_bool
+          (Printf.sprintf "direct %.3g ms/step, CG %.3g ms/step (%.0fx)" (direct *. 1e3)
+             (cg *. 1e3) (cg /. direct))
+          true
+          (cg >= 3. *. direct));
+    Alcotest.test_case "the oracles sample and fail on the grid of Transient.simulate" `Quick
+      (fun () ->
+        let tree = ladder2 () in
+        let outcome f =
+          match f () with
+          | times -> Ok times
+          | exception Invalid_argument msg -> Error msg
+        in
+        let production ?nodes ~dt ~t_end () =
+          outcome (fun () ->
+              let r =
+                Circuit.Transient.simulate ?nodes tree ~dt ~t_end
+                  ~input:Circuit.Transient.step_input
+              in
+              let node = List.hd (Circuit.Transient.nodes r) in
+              Circuit.Waveform.times (Circuit.Transient.waveform r ~node))
+        in
+        let oracle engine ?nodes ~dt ~t_end () =
+          outcome (fun () ->
+              match
+                Check.Stepper.simulate engine ?nodes tree ~dt ~t_end
+                  ~input:Circuit.Transient.step_input
+              with
+              | (_, w) :: _ -> Circuit.Waveform.times w
+              | [] -> [||])
+        in
+        let show = function
+          | Ok times ->
+              Printf.sprintf "%d samples, last %h" (Array.length times)
+                times.(Array.length times - 1)
+          | Error msg -> msg
+        in
+        List.iter
+          (fun (what, nodes, dt, t_end) ->
+            let expected = show (production ?nodes ~dt ~t_end ()) in
+            List.iter
+              (fun engine ->
+                Alcotest.(check string) what expected (show (oracle engine ?nodes ~dt ~t_end ())))
+              [ `Cg; `Dense ])
+          [
+            ("grid", None, 0.1, 1.);
+            ("uneven grid", Some [ 2; 1 ], 0.3, 1.);
+            ("bad dt", None, 0., 1.);
+            ("bad t_end", None, 0.1, -1.);
+            ("over the cap", None, 1e-9, 1e9);
+            ("unknown node", Some [ 7 ], 0.1, 1.);
+            ("unknown node before a bad grid", Some [ 7 ], 0., 1.);
+          ]);
   ]
 
 let () =

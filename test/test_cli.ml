@@ -408,6 +408,33 @@ let tests =
                 check_int (solver ^ " exit") 0 code;
                 Alcotest.(check string) (solver ^ " csv") expected out)
               [ "direct"; "cg"; "dense" ]));
+    Alcotest.test_case "dense paths exit 2 above the size limit, naming the count" `Quick
+      (fun () ->
+        (* nine lines of 64 sections each: 577 unknowns once lumped *)
+        let lines =
+          List.init 9 (fun i -> Printf.sprintf "U%d n%d n%d 1 1\n" (i + 1) i (i + 1))
+        in
+        with_deck
+          ("VIN in 0\nR0 in n0 1\nC0 n0 0 1\n" ^ String.concat "" lines ^ ".output n9\n.end\n")
+          (fun deck ->
+            List.iter
+              (fun args ->
+                let t0 = Unix.gettimeofday () in
+                let code, out = run (List.hd args :: deck :: List.tl args) in
+                let what = String.concat " " args in
+                check_int (what ^ " exit") 2 code;
+                check_bool (what ^ " names the count") true
+                  (contains out "577 unknowns, above the dense solver's limit of 512");
+                check_bool (what ^ " points at transient") true
+                  (contains out "`rcdelay transient` with the default direct solver");
+                check_bool (what ^ " refuses at once") true (Unix.gettimeofday () -. t0 < 1.))
+              [
+                [ "simulate"; "--t-end"; "10" ];
+                [ "ac" ];
+                [ "transient"; "--solver"; "dense"; "--t-end"; "10" ];
+              ];
+            let code, _ = run [ "transient"; deck; "--t-end"; "10"; "--samples"; "3" ] in
+            check_int "direct transient answers" 0 code));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

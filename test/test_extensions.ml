@@ -261,6 +261,40 @@ let ac_tests =
         let tree, out = single_pole () in
         let ac = Circuit.Ac.of_tree tree in
         check_invalid "omega" (fun () -> Circuit.Ac.magnitude ac ~node:out (-1.)));
+    Alcotest.test_case "phase is the principal value once the true phase passes -pi" `Quick
+      (fun () ->
+        (* the far end of a 4-section chain has four poles and no zero:
+           H = prod l_j / (jw + l_j), whose phase -sum atan(w / l_j)
+           heads for -2 pi *)
+        let tree = Circuit.Large.rc_chain ~sections:4 ~r:1. ~c:1. in
+        let out = Rctree.Tree.output_named tree "out" in
+        let exact = Circuit.Exact.of_tree tree in
+        let ac = Circuit.Ac.of_exact exact in
+        let poles = Circuit.Exact.poles exact in
+        let terms = Option.get (Circuit.Exact.residues exact ~node:out) in
+        let wrapped = ref 0 in
+        List.iter
+          (fun omega ->
+            let mag, phase = Circuit.Ac.response ac ~node:out omega in
+            check_bool "in (-pi, pi]" true (phase > -.Float.pi && phase <= Float.pi);
+            let unwrapped =
+              Array.fold_left (fun acc l -> acc -. Float.atan (omega /. l)) 0. poles
+            in
+            if unwrapped < -.Float.pi then incr wrapped;
+            let turns = Float.round ((phase -. unwrapped) /. (2. *. Float.pi)) in
+            check_close ~eps:1e-9 "phase is the true phase plus whole turns" unwrapped
+              (phase -. (2. *. Float.pi *. turns));
+            let re = ref 0. and im = ref 0. in
+            Array.iter
+              (fun (k, l) ->
+                let d = (l *. l) +. (omega *. omega) in
+                re := !re +. (k *. l *. l /. d);
+                im := !im -. (k *. l *. omega /. d))
+              terms;
+            check_close ~eps:1e-12 "re" !re (mag *. Float.cos phase);
+            check_close ~eps:1e-12 "im" !im (mag *. Float.sin phase))
+          [ 0.1; 1.; 3.; 10.; 100. ];
+        check_bool "the true phase passes -pi" true (!wrapped >= 2));
   ]
 
 (* --- Sensitivity ------------------------------------------------------------ *)

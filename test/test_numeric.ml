@@ -1,4 +1,6 @@
-(* Unit tests for the numeric substrate. *)
+(* Unit tests for the numeric substrate, and for the solvers the
+   transient oracles of lib/check build on (Check.Ode, Check.Sparse,
+   Check.Cg). *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close ?(eps = 1e-9) msg a b = Alcotest.(check (float eps)) msg a b
@@ -326,43 +328,43 @@ let ode_tests =
   let exact t = 1. -. exp (-.t /. tau) in
   let final_error stepper =
     let traj =
-      Ode.simulate stepper ~x0:[| 0. |] ~u:(fun t -> if t < 0. then 0. else 1.) ~t_end:tau
+      Check.Ode.simulate stepper ~x0:[| 0. |] ~u:(fun t -> if t < 0. then 0. else 1.) ~t_end:tau
     in
     let t_last, x_last = List.nth traj (List.length traj - 1) in
     Float.abs (x_last.(0) -. exact t_last)
   in
   [
     Alcotest.test_case "backward euler converges" `Quick (fun () ->
-        let e = final_error (Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 100.)) in
+        let e = final_error (Check.Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 100.)) in
         check_bool "small" true (e < 5e-3));
     Alcotest.test_case "backward euler is first order" `Quick (fun () ->
-        let e1 = final_error (Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 50.)) in
-        let e2 = final_error (Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 100.)) in
+        let e1 = final_error (Check.Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 50.)) in
+        let e2 = final_error (Check.Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 100.)) in
         check_bool "halving dt halves error" true (e1 /. e2 > 1.7 && e1 /. e2 < 2.3));
     Alcotest.test_case "trapezoidal is second order" `Quick (fun () ->
-        let e1 = final_error (Ode.trapezoidal ~c:cm ~g ~b ~dt:(tau /. 50.)) in
-        let e2 = final_error (Ode.trapezoidal ~c:cm ~g ~b ~dt:(tau /. 100.)) in
+        let e1 = final_error (Check.Ode.trapezoidal ~c:cm ~g ~b ~dt:(tau /. 50.)) in
+        let e2 = final_error (Check.Ode.trapezoidal ~c:cm ~g ~b ~dt:(tau /. 100.)) in
         check_bool "halving dt quarters error" true (e1 /. e2 > 3.4 && e1 /. e2 < 4.6));
     Alcotest.test_case "trapezoidal beats backward euler" `Quick (fun () ->
-        let eb = final_error (Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 100.)) in
-        let et = final_error (Ode.trapezoidal ~c:cm ~g ~b ~dt:(tau /. 100.)) in
+        let eb = final_error (Check.Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 100.)) in
+        let et = final_error (Check.Ode.trapezoidal ~c:cm ~g ~b ~dt:(tau /. 100.)) in
         check_bool "better" true (et < eb));
     Alcotest.test_case "trajectory includes t=0" `Quick (fun () ->
-        let s = Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 10.) in
-        match Ode.simulate s ~x0:[| 0. |] ~u:(fun _ -> 1.) ~t_end:tau with
+        let s = Check.Ode.backward_euler ~c:cm ~g ~b ~dt:(tau /. 10.) in
+        match Check.Ode.simulate s ~x0:[| 0. |] ~u:(fun _ -> 1.) ~t_end:tau with
         | (t0, x0) :: _ ->
             check_float "t0" 0. t0;
             check_float "x0" 0. x0.(0)
         | [] -> Alcotest.fail "empty trajectory");
     Alcotest.test_case "dt accessor" `Quick (fun () ->
-        check_close "dt" 1e-4 (Ode.dt (Ode.backward_euler ~c:cm ~g ~b ~dt:1e-4)));
+        check_close "dt" 1e-4 (Check.Ode.dt (Check.Ode.backward_euler ~c:cm ~g ~b ~dt:1e-4)));
     Alcotest.test_case "bad dt raises" `Quick (fun () ->
-        check_invalid "dt" (fun () -> Ode.backward_euler ~c:cm ~g ~b ~dt:0.));
+        check_invalid "dt" (fun () -> Check.Ode.backward_euler ~c:cm ~g ~b ~dt:0.));
     Alcotest.test_case "shape mismatch raises" `Quick (fun () ->
-        check_invalid "shapes" (fun () -> Ode.backward_euler ~c:cm ~g ~b:[| 1.; 2. |] ~dt:1.));
+        check_invalid "shapes" (fun () -> Check.Ode.backward_euler ~c:cm ~g ~b:[| 1.; 2. |] ~dt:1.));
     Alcotest.test_case "negative t_end raises" `Quick (fun () ->
-        let s = Ode.backward_euler ~c:cm ~g ~b ~dt:1e-4 in
-        check_invalid "t_end" (fun () -> Ode.simulate s ~x0:[| 0. |] ~u:(fun _ -> 1.) ~t_end:(-1.)));
+        let s = Check.Ode.backward_euler ~c:cm ~g ~b ~dt:1e-4 in
+        check_invalid "t_end" (fun () -> Check.Ode.simulate s ~x0:[| 0. |] ~u:(fun _ -> 1.) ~t_end:(-1.)));
   ]
 
 (* --- Stats ----------------------------------------------------------- *)
@@ -415,47 +417,47 @@ let stats_tests =
 let sparse_tests =
   let open Numeric in
   let sample () =
-    Sparse.of_triplets ~rows:3 ~cols:3
+    Check.Sparse.of_triplets ~rows:3 ~cols:3
       [ (0, 0, 2.); (0, 1, -1.); (1, 0, -1.); (1, 1, 2.); (1, 2, -1.); (2, 1, -1.); (2, 2, 2.) ]
   in
   [
     Alcotest.test_case "get stored and missing entries" `Quick (fun () ->
         let m = sample () in
-        check_float "00" 2. (Sparse.get m 0 0);
-        check_float "01" (-1.) (Sparse.get m 0 1);
-        check_float "02" 0. (Sparse.get m 0 2));
+        check_float "00" 2. (Check.Sparse.get m 0 0);
+        check_float "01" (-1.) (Check.Sparse.get m 0 1);
+        check_float "02" 0. (Check.Sparse.get m 0 2));
     Alcotest.test_case "nnz counts stored entries" `Quick (fun () ->
-        Alcotest.(check int) "nnz" 7 (Sparse.nnz (sample ())));
+        Alcotest.(check int) "nnz" 7 (Check.Sparse.nnz (sample ())));
     Alcotest.test_case "duplicates accumulate" `Quick (fun () ->
-        let m = Sparse.of_triplets ~rows:1 ~cols:1 [ (0, 0, 1.); (0, 0, 2.5) ] in
-        check_float "sum" 3.5 (Sparse.get m 0 0));
+        let m = Check.Sparse.of_triplets ~rows:1 ~cols:1 [ (0, 0, 1.); (0, 0, 2.5) ] in
+        check_float "sum" 3.5 (Check.Sparse.get m 0 0));
     Alcotest.test_case "explicit zeros dropped" `Quick (fun () ->
-        let m = Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, 0.); (1, 1, 1.) ] in
-        Alcotest.(check int) "nnz" 1 (Sparse.nnz m));
+        let m = Check.Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, 0.); (1, 1, 1.) ] in
+        Alcotest.(check int) "nnz" 1 (Check.Sparse.nnz m));
     Alcotest.test_case "out of range rejected" `Quick (fun () ->
-        check_invalid "range" (fun () -> Sparse.of_triplets ~rows:2 ~cols:2 [ (2, 0, 1.) ]));
+        check_invalid "range" (fun () -> Check.Sparse.of_triplets ~rows:2 ~cols:2 [ (2, 0, 1.) ]));
     Alcotest.test_case "dense round-trip" `Quick (fun () ->
         let d = Matrix.of_arrays [| [| 1.; 0.; 3. |]; [| 0.; 0.; 0. |]; [| 4.; 5.; 0. |] |] in
-        check_float "diff" 0. (Matrix.max_abs_diff (Sparse.to_dense (Sparse.of_dense d)) d));
+        check_float "diff" 0. (Matrix.max_abs_diff (Check.Sparse.to_dense (Check.Sparse.of_dense d)) d));
     Alcotest.test_case "mul_vec agrees with dense" `Quick (fun () ->
         let m = sample () in
         let v = [| 1.; 2.; 3. |] in
-        let sparse = Sparse.mul_vec m v in
-        let dense = Matrix.mul_vec (Sparse.to_dense m) v in
+        let sparse = Check.Sparse.mul_vec m v in
+        let dense = Matrix.mul_vec (Check.Sparse.to_dense m) v in
         check_float "diff" 0. (Vector.max_abs_diff sparse dense));
     Alcotest.test_case "diagonal" `Quick (fun () ->
-        let d = Sparse.diagonal (sample ()) in
+        let d = Check.Sparse.diagonal (sample ()) in
         check_float "0" 2. d.(0);
         check_float "2" 2. d.(2));
     Alcotest.test_case "transpose" `Quick (fun () ->
-        let m = Sparse.of_triplets ~rows:2 ~cols:3 [ (0, 2, 7.) ] in
-        let t = Sparse.transpose m in
-        Alcotest.(check int) "rows" 3 (Sparse.rows t);
-        check_float "20" 7. (Sparse.get t 2 0));
+        let m = Check.Sparse.of_triplets ~rows:2 ~cols:3 [ (0, 2, 7.) ] in
+        let t = Check.Sparse.transpose m in
+        Alcotest.(check int) "rows" 3 (Check.Sparse.rows t);
+        check_float "20" 7. (Check.Sparse.get t 2 0));
     Alcotest.test_case "scale and add" `Quick (fun () ->
         let m = sample () in
-        let s = Sparse.add m (Sparse.scale (-1.) m) in
-        Alcotest.(check int) "cancels" 0 (Sparse.nnz s));
+        let s = Check.Sparse.add m (Check.Sparse.scale (-1.) m) in
+        Alcotest.(check int) "cancels" 0 (Check.Sparse.nnz s));
   ]
 
 (* --- Cg --------------------------------------------------------------- *)
@@ -469,14 +471,14 @@ let cg_tests =
       triplets := (i, i, 2.) :: !triplets;
       if i > 0 then triplets := (i, i - 1, -1.) :: (i - 1, i, -1.) :: !triplets
     done;
-    Sparse.of_triplets ~rows:n ~cols:n !triplets
+    Check.Sparse.of_triplets ~rows:n ~cols:n !triplets
   in
   [
     Alcotest.test_case "solves a small SPD system" `Quick (fun () ->
         let a = spd 5 in
         let x_true = [| 1.; -2.; 3.; 0.5; 2. |] in
-        let b = Sparse.mul_vec a x_true in
-        let x = Cg.solve_sparse a b in
+        let b = Check.Sparse.mul_vec a x_true in
+        let x = Check.Cg.solve_sparse a b in
         check_close ~eps:1e-9 "x" 0. (Vector.max_abs_diff x x_true));
     Alcotest.test_case "matches LU on a random SPD system" `Quick (fun () ->
         let st = Random.State.make [| 11 |] in
@@ -486,27 +488,27 @@ let cg_tests =
         let a = Matrix.add (Matrix.mul (Matrix.transpose m) m) (Matrix.scale (float_of_int n) (Matrix.identity n)) in
         let b = Array.init n (fun i -> sin (float_of_int i)) in
         let x_lu = Lu.solve a b in
-        let x_cg, _ = Cg.solve ~mul:(Matrix.mul_vec a) b in
+        let x_cg, _ = Check.Cg.solve ~mul:(Matrix.mul_vec a) b in
         check_close ~eps:1e-8 "agree" 0. (Vector.max_abs_diff x_lu x_cg));
     Alcotest.test_case "zero rhs gives zero instantly" `Quick (fun () ->
-        let x, stats = Cg.solve ~mul:(fun v -> v) [| 0.; 0. |] in
+        let x, stats = Check.Cg.solve ~mul:(fun v -> v) [| 0.; 0. |] in
         check_float "x0" 0. x.(0);
-        Alcotest.(check int) "iters" 0 stats.Cg.iterations);
+        Alcotest.(check int) "iters" 0 stats.Check.Cg.iterations);
     Alcotest.test_case "converges within n iterations in exact arithmetic" `Quick (fun () ->
         let a = spd 30 in
         let b = Array.make 30 1. in
-        let _, stats = Cg.solve ~diag_precondition:(Sparse.diagonal a) ~mul:(Sparse.mul_vec a) b in
-        check_bool "iters <= 2n" true (stats.Cg.iterations <= 60));
+        let _, stats = Check.Cg.solve ~diag_precondition:(Check.Sparse.diagonal a) ~mul:(Check.Sparse.mul_vec a) b in
+        check_bool "iters <= 2n" true (stats.Check.Cg.iterations <= 60));
     Alcotest.test_case "iteration limit raises" `Quick (fun () ->
         let a = spd 30 in
         let b = Array.make 30 1. in
-        match Cg.solve ~max_iter:2 ~mul:(Sparse.mul_vec a) b with
+        match Check.Cg.solve ~max_iter:2 ~mul:(Check.Sparse.mul_vec a) b with
         | _ -> Alcotest.fail "expected Not_converged"
-        | exception Cg.Not_converged stats ->
-            Alcotest.(check int) "iters" 2 stats.Cg.iterations);
+        | exception Check.Cg.Not_converged stats ->
+            Alcotest.(check int) "iters" 2 stats.Check.Cg.iterations);
     Alcotest.test_case "bad preconditioner rejected" `Quick (fun () ->
         check_invalid "precond" (fun () ->
-            Cg.solve ~diag_precondition:[| 0.; 1. |] ~mul:(fun v -> v) [| 1.; 1. |]));
+            Check.Cg.solve ~diag_precondition:[| 0.; 1. |] ~mul:(fun v -> v) [| 1.; 1. |]));
   ]
 
 (* --- Tree_ldl --------------------------------------------------------- *)

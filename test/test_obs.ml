@@ -220,28 +220,28 @@ let solver_stats_tests =
         let mul v =
           Array.init 2 (fun i -> (a.(i).(0) *. v.(0)) +. (a.(i).(1) *. v.(1)))
         in
-        match Numeric.Cg.solve ~max_iter:1 ~mul [| 1.; 2. |] with
+        match Check.Cg.solve ~max_iter:1 ~mul [| 1.; 2. |] with
         | _ -> Alcotest.fail "expected Not_converged"
-        | exception Numeric.Cg.Not_converged stats ->
-            check_int "stopped at the iteration cap" 1 stats.Numeric.Cg.iterations;
+        | exception Check.Cg.Not_converged stats ->
+            check_int "stopped at the iteration cap" 1 stats.Check.Cg.iterations;
             check_bool "residual above the default tol" true
-              (stats.Numeric.Cg.residual_norm > 1e-12));
+              (stats.Check.Cg.residual_norm > 1e-12));
     Alcotest.test_case "solver counters flow into the registry" `Quick (fun () ->
         with_metrics (fun () ->
             let a = [| [| 4.; 1. |]; [| 1.; 3. |] |] in
             let mul v =
               Array.init 2 (fun i -> (a.(i).(0) *. v.(0)) +. (a.(i).(1) *. v.(1)))
             in
-            let _, stats = Numeric.Cg.solve ~mul [| 1.; 2. |] in
+            let _, stats = Check.Cg.solve ~mul [| 1.; 2. |] in
             let counter name =
               Option.value (List.assoc_opt name (Obs.counters ())) ~default:0
             in
             check_int "one solve" 1 (counter "cg.solves");
-            check_int "iterations threaded through" stats.Numeric.Cg.iterations
+            check_int "iterations threaded through" stats.Check.Cg.iterations
               (counter "cg.iterations");
-            (match Numeric.Cg.solve ~max_iter:1 ~mul [| 1.; 2. |] with
+            (match Check.Cg.solve ~max_iter:1 ~mul [| 1.; 2. |] with
             | _ -> Alcotest.fail "expected Not_converged"
-            | exception Numeric.Cg.Not_converged _ -> ());
+            | exception Check.Cg.Not_converged _ -> ());
             check_int "failure counted" 1 (counter "cg.not_converged")));
     Alcotest.test_case "eigen reports sweeps" `Quick (fun () ->
         with_metrics (fun () ->
