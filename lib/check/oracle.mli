@@ -33,7 +33,14 @@ val moments_times : t -> Rctree.Times.t
     oracle for {!times}. *)
 
 val times_direct : t -> Rctree.Times.t
-(** Textbook O(n·depth) LCA method — second oracle for {!times}. *)
+(** {!direct_times} at the case's output — second oracle for {!times}. *)
+
+val direct_times : Rctree.Tree.t -> output:Rctree.Tree.node_id -> Rctree.Times.t
+(** The textbook method of Section IV's first paragraph: [R_kk] and
+    [R_ke] for every capacitor by its own {!Rctree.Path} queries,
+    O(n·depth), in a sum loop that shares no code with
+    {!Rctree.Moments.times}.  Raises [Invalid_argument] on an unknown
+    node. *)
 
 val expr_times : t -> Rctree.Times.t
 (** Via {!Rctree.Convert.expr_of_tree} and the five-tuple algebra —

@@ -17,6 +17,8 @@ let bandwidth_3db ac ~node =
     (* scan up from two decades below 1/T_P: T_P = sum_j 1/lambda_j is
        at least the dominant time constant *)
     let t_p = Response.t_p ac in
+    if not (Float.is_finite t_p) then
+      invalid_arg (Printf.sprintf "Ac.bandwidth_3db: T_P = %g is not finite" t_p);
     if t_p <= 0. then Float.infinity
     else begin
       let f omega = magnitude ac ~node omega -. target in

@@ -32,7 +32,8 @@ val bandwidth_3db : t -> node:Rctree.Tree.node_id -> float
 (** Smallest ω with [|H(jω)| = 1/√2], rad/s; [infinity] for the input
     node and for a tree without capacitance.  Bracketed upward from
     [0.01/T_P] ({!Response.t_p}) and found by Brent's method on the
-    (monotone) magnitude. *)
+    (monotone) magnitude.  Raises [Invalid_argument] naming T_P when
+    T_P is not finite, since no scan start can be formed from it. *)
 
 val bode_table : t -> node:Rctree.Tree.node_id -> omegas:float array -> (float * float * float) array
 (** [(ω, |H| in dB, phase in degrees)] rows, the phase as {!response}

@@ -738,8 +738,20 @@ let deadline_arg =
 let t_end_arg =
   Arg.(required & opt (some float) None & info [ "t-end" ] ~docv:"T" ~doc:"Simulation end time.")
 
+(* sample and frequency-point counts: each grid runs from its first to
+   its last value in N - 1 steps, so it needs N >= 2 *)
+let count =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 2 -> Error (`Msg (Printf.sprintf "expected a count of at least 2, got %d" n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let samples_arg =
-  Arg.(value & opt int 101 & info [ "samples" ] ~docv:"N" ~doc:"Number of output samples.")
+  Arg.(
+    value & opt count 101
+    & info [ "samples" ] ~docv:"N" ~doc:"Number of output samples (at least 2).")
 
 let segments_arg =
   Arg.(
@@ -840,7 +852,9 @@ let order_arg =
   Arg.(value & opt int 3 & info [ "order" ] ~docv:"N" ~doc:"Highest moment order to print.")
 
 let points_arg =
-  Arg.(value & opt int 9 & info [ "points" ] ~docv:"N" ~doc:"Frequency points in the Bode table.")
+  Arg.(
+    value & opt count 9
+    & info [ "points" ] ~docv:"N" ~doc:"Frequency points in the Bode table (at least 2).")
 
 let cmd_ramp =
   Cmd.v

@@ -1,5 +1,5 @@
-(** Summary statistics over float samples — used by the benchmark
-    harness and the experiment reports. *)
+(** Summary statistics over float samples — used by the Monte-Carlo
+    summaries and the experiment reports. *)
 
 val mean : float array -> float
 (** Raises [Invalid_argument] on an empty array. *)

@@ -211,10 +211,6 @@ let counters () =
 
 let gauges () = locked (fun () -> List.map (fun (n, g) -> (n, !g)) (sorted_bindings gauge_table))
 
-let span_totals () =
-  locked (fun () ->
-      List.map (fun (n, a) -> (n, a.calls, a.total)) (sorted_bindings span_table))
-
 let reset () =
   locked (fun () ->
       Hashtbl.iter (fun _ c -> Atomic.set c 0) counter_table;
@@ -562,7 +558,7 @@ let trace_report () =
 
 (* RCDELAY_METRICS=1 (or any non-path value) prints the report to
    stderr at exit; RCDELAY_METRICS=/path/to/file.jsonl dumps JSON
-   lines there instead.  This lets the bench harness and tests turn
+   lines there instead.  This lets scripts and tests turn
    metrics on without plumbing flags through every entry point. *)
 let env_value = Sys.getenv_opt "RCDELAY_METRICS"
 

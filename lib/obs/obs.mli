@@ -100,11 +100,9 @@ module Span : sig
 end
 
 val counters : unit -> (string * int) list
-(** All registered counters, sorted by name — likewise {!gauges} and
-    {!span_totals} [(name, calls, total_seconds)]. *)
+(** All registered counters, sorted by name — likewise {!gauges}. *)
 
 val gauges : unit -> (string * float) list
-val span_totals : unit -> (string * int * float) list
 
 (** Minimal JSON value type with printer and parser, enough for the
     JSON-lines exporter to round-trip (no external dependencies). *)

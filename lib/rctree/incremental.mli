@@ -116,10 +116,6 @@ val leaf_path : t -> int -> path
 (** Path of the [n]-th leaf in left-to-right order, [0 <= n <
     leaf_count].  Raises [Invalid_argument] outside the range. *)
 
-val leaf_value : t -> path -> float * float
-(** [(resistance, capacitance)] of the leaf at [path].  Raises
-    [Invalid_argument] when [path] is not a leaf. *)
-
 val path_to_string : path -> string
 (** ["root"] for [[]], otherwise one character per step ([l]/[r]/[b]),
     e.g. ["llrb"]. *)

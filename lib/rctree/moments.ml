@@ -16,7 +16,11 @@ let t_p t =
       in
       acc +. lumped +. line)
 
-let sums_for_output t ~output ~rkk ~rke ~on_path =
+let times t ~output =
+  if output < 0 || output >= Tree.node_count t then invalid_arg "Moments.times: unknown node";
+  let rkk = Path.all_resistances_to_root t in
+  let rke = Path.shared_resistances_to t output in
+  let on_path = Path.on_path_to t output in
   let first = ref 0. and second = ref 0. and tp = ref 0. in
   Tree.iter_nodes t ~f:(fun id ->
       let ck = Tree.capacitance t id in
@@ -41,32 +45,6 @@ let sums_for_output t ~output ~rkk ~rke ~on_path =
   let ree = rkk.(output) in
   let t_r = if ree = 0. then 0. else !second /. ree in
   Times.make ~t_p:!tp ~t_d:!first ~t_r
-
-let times t ~output =
-  if output < 0 || output >= Tree.node_count t then invalid_arg "Moments.times: unknown node";
-  let rkk = Path.all_resistances_to_root t in
-  let rke = Path.shared_resistances_to t output in
-  let on_path = Path.on_path_to t output in
-  sums_for_output t ~output ~rkk ~rke ~on_path
-
-let times_direct t ~output =
-  if output < 0 || output >= Tree.node_count t then invalid_arg "Moments.times_direct: unknown node";
-  let n = Tree.node_count t in
-  let rkk = Array.init n (fun id -> Path.resistance_to_root t id) in
-  let rke = Array.init n (fun id -> Path.shared_resistance t id output) in
-  let on_path =
-    (* recompute independently of Path.on_path_to: a node is on the path
-       iff its shared resistance with the output equals its own R_kk and
-       it is an ancestor-or-self of the output *)
-    let marks = Array.make n false in
-    let rec up id =
-      marks.(id) <- true;
-      match Tree.parent t id with Some p -> up p | None -> ()
-    in
-    up output;
-    marks
-  in
-  sums_for_output t ~output ~rkk ~rke ~on_path
 
 let elmore t ~output = (times t ~output).Times.t_d
 

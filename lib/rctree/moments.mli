@@ -1,14 +1,14 @@
 (** Characteristic times of tree outputs (eqs. 1, 5, 6).
 
     {!all_sums} is the production pass: every node's times in one O(n)
-    walk, run once per tree by {!Analysis.make}.  The per-output
-    engines are references for the tests and [lib/check]:
+    walk, run once per tree by {!Analysis.make}.  The reference
+    engines for the tests and [lib/check]:
 
     - {!times} — one O(n) pass per output using the path arrays of
       {!Path};
-    - {!times_direct} — the textbook method that evaluates [R_ke] for
-      every capacitor with an explicit lowest-common-ancestor query,
-      O(n·depth).
+    - [Check.Oracle.direct_times] — the textbook method that evaluates
+      [R_ke] for every capacitor with an explicit lowest-common-ancestor
+      query, O(n·depth), with a sum loop of its own.
 
     Distributed lines are integrated in closed form: a line of total
     resistance [R] and capacitance [C] entered at path resistance [a]
@@ -22,11 +22,6 @@ val t_p : Tree.t -> float
 
 val times : Tree.t -> output:Tree.node_id -> Times.t
 (** All three characteristic times for one output, O(n). *)
-
-val times_direct : Tree.t -> output:Tree.node_id -> Times.t
-(** Same result by pairwise shared-resistance queries (the "compute
-    [R_ke] for each capacitor" algorithm of Section IV's first
-    paragraph). *)
 
 val elmore : Tree.t -> output:Tree.node_id -> float
 (** The Elmore delay [T_De] alone (eq. 1). *)

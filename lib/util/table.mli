@@ -1,4 +1,4 @@
-(** Plain-text tables for the benchmark harness and examples.
+(** Plain-text tables for the CLI and the examples.
 
     Columns are sized to their widest cell; numeric-looking cells are
     right-aligned, text cells left-aligned. *)

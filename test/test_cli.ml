@@ -441,6 +441,36 @@ let tests =
             check_bool "refuses at once" true (Unix.gettimeofday () -. t0 < 1.);
             let code, _ = run [ "transient"; deck; "--t-end"; "10"; "--samples"; "3" ] in
             check_int "direct transient answers" 0 code));
+    Alcotest.test_case "sample and point counts below 2 exit 2 naming the flag" `Quick (fun () ->
+        with_deck "VIN in 0 1\nR1 in n1 1k\nC1 n1 0 1p\n.output n1\n.end\n" (fun deck ->
+            let transient = [ "transient"; deck; "--t-end"; "1e-9" ]
+            and simulate = [ "simulate"; deck; "--t-end"; "1e-9" ]
+            and ac = [ "ac"; deck ] in
+            List.iter
+              (fun (args, flag, n) ->
+                let args = args @ [ Printf.sprintf "--%s=%d" flag n ] in
+                let what = String.concat " " args in
+                let code, out = run args in
+                check_int (what ^ " exit") 2 code;
+                check_bool (what ^ " names the flag") true
+                  (contains out
+                     (Printf.sprintf "option '--%s': expected a count of at least 2, got %d" flag
+                        n));
+                check_bool (what ^ " prints no nan") false (contains out "nan");
+                check_bool (what ^ " prints no bandwidth") false (contains out "f_3dB"))
+              [
+                (transient, "samples", 1); (transient, "samples", 0); (transient, "samples", -3);
+                (simulate, "samples", 1); (simulate, "samples", -3); (ac, "points", 1);
+                (ac, "points", -2);
+              ];
+            check_int "two samples answer" 0 (fst (run (transient @ [ "--samples"; "2" ])));
+            check_int "two points answer" 0 (fst (run (ac @ [ "--points"; "2" ])))));
+    Alcotest.test_case "ac names an overflowing T_P" `Quick (fun () ->
+        with_deck "VIN in 0 1\nR1 in n1 1k\nC1 n1 0 1e308\n.output n1\n.end\n" (fun deck ->
+            let code, out = run [ "ac"; deck ] in
+            check_int "exit" 2 code;
+            Alcotest.(check string)
+              "message" (deck ^ ": Ac.bandwidth_3db: T_P = inf is not finite\n") out));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

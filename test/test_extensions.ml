@@ -295,6 +295,19 @@ let ac_tests =
             check_close ~eps:1e-12 "im" !im (mag *. Float.sin phase))
           [ 0.1; 1.; 3.; 10.; 100. ];
         check_bool "the true phase passes -pi" true (!wrapped >= 2));
+    Alcotest.test_case "an overflowing T_P is refused by name" `Quick (fun () ->
+        (* 1 kOhm into 1e308 F: T_P = R C overflows, so there is no
+           scan start 0.01 / T_P to bracket the -3 dB point from *)
+        let open Rctree.Tree.Builder in
+        let b = create () in
+        let n = add_resistor b ~parent:(input b) ~name:"out" 1000. in
+        add_capacitance b n 1e308;
+        mark_output b n;
+        let ac = Circuit.Ac.of_tree (finish b) in
+        match Circuit.Ac.bandwidth_3db ac ~node:n with
+        | w -> Alcotest.failf "answered %g rad/s" w
+        | exception Invalid_argument msg ->
+            Alcotest.(check string) "message" "Ac.bandwidth_3db: T_P = inf is not finite" msg);
   ]
 
 (* --- Sensitivity ------------------------------------------------------------ *)

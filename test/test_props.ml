@@ -29,12 +29,12 @@ let algebra_props =
     QCheck.Test.make ~count:300 ~name:"algebra equals direct moments" arb_expr (fun e ->
         let tree = Rctree.Convert.tree_of_expr e in
         let out = Rctree.Tree.output_named tree "out" in
-        times_agree (Rctree.Expr.times e) (Rctree.Moments.times_direct tree ~output:out));
+        times_agree (Rctree.Expr.times e) (Check.Oracle.direct_times tree ~output:out));
     QCheck.Test.make ~count:300 ~name:"fast moments equal direct moments" arb_expr (fun e ->
         let tree = Rctree.Convert.tree_of_expr e in
         let out = Rctree.Tree.output_named tree "out" in
         times_agree (Rctree.Moments.times tree ~output:out)
-          (Rctree.Moments.times_direct tree ~output:out));
+          (Check.Oracle.direct_times tree ~output:out));
     QCheck.Test.make ~count:300 ~name:"eq.(7): T_R <= T_D <= T_P" arb_expr (fun e ->
         Rctree.Times.check (Rctree.Expr.times e));
     QCheck.Test.make ~count:300 ~name:"expr_of_tree round-trips the times" arb_expr (fun e ->

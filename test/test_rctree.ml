@@ -576,9 +576,9 @@ let moments_tests =
         check_close "tp" (Rctree.Moments.t_p t) (Rctree.Moments.times t ~output:e).Rctree.Times.t_p);
     Alcotest.test_case "fast equals direct" `Quick (fun () ->
         let t, _, side, e = build_fig7 () in
-        check_times "e" (Rctree.Moments.times_direct t ~output:e) (Rctree.Moments.times t ~output:e);
+        check_times "e" (Check.Oracle.direct_times t ~output:e) (Rctree.Moments.times t ~output:e);
         check_times "b"
-          (Rctree.Moments.times_direct t ~output:side)
+          (Check.Oracle.direct_times t ~output:side)
           (Rctree.Moments.times t ~output:side));
     Alcotest.test_case "off-path line contributes branch-point terms" `Quick (fun () ->
         let open Rctree.Tree.Builder in
@@ -644,6 +644,33 @@ let moments_tests =
         let ts = Rctree.Moments.times t ~output:(Rctree.Tree.input t) in
         check_float "td" 0. ts.Rctree.Times.t_d;
         check_bool "degenerate" true (Rctree.Times.is_degenerate ts));
+    Alcotest.test_case "per-output pass beats the direct oracle by 10x on a branched chain"
+      `Quick (fun () ->
+        (* Section IV: one output in O(n) from the path arrays against
+           an LCA query per capacitor, O(n * depth); about 120x apart at
+           400 branched sections, only 11x at 100; best of three batches *)
+        let section = Rctree.Expr.(urc 10. 1. @> wb (urc 5. 2.) @> urc 0. 0.5) in
+        let rec chain acc k = if k = 0 then acc else chain (Rctree.Expr.wc acc section) (k - 1) in
+        let t = Rctree.Convert.tree_of_expr (chain (Rctree.Expr.urc 50. 0.) 400) in
+        let e = Rctree.Tree.output_named t "out" in
+        check_int "nodes" 802 (Rctree.Tree.node_count t);
+        let per_call reps f =
+          let batch () =
+            let t0 = Unix.gettimeofday () in
+            for _ = 1 to reps do
+              ignore (Sys.opaque_identity (f ()) : Rctree.Times.t)
+            done;
+            (Unix.gettimeofday () -. t0) /. float_of_int reps
+          in
+          List.fold_left Float.min Float.infinity (List.init 3 (fun _ -> batch ()))
+        in
+        let fast = per_call 50 (fun () -> Rctree.Moments.times t ~output:e) in
+        let direct = per_call 2 (fun () -> Check.Oracle.direct_times t ~output:e) in
+        check_bool
+          (Printf.sprintf "per-output %.1f us, direct %.1f us (%.0fx)" (fast *. 1e6)
+             (direct *. 1e6) (direct /. fast))
+          true
+          (direct >= 10. *. fast));
   ]
 
 (* --- Convert ---------------------------------------------------------------- *)

@@ -1,4 +1,4 @@
-(* Tests of the shared table rendering used by the bench harness. *)
+(* Tests of the shared table rendering used by the CLI and examples. *)
 
 let check_string = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
