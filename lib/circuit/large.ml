@@ -27,20 +27,25 @@ let operator ?cap_floor tree ~dt =
   in
   let rows = Rctree.Tree.node_count tree - 1 in
   let { Rctree.Tree.parents; capacitance; _ } = Rctree.Tree.flat tree in
-  let conductance = Response.conductances ~who:"Large.operator" tree in
+  let conductance = Array.make rows 0. in
   let parent_row = Array.make rows (-1) in
   let c_over_dt = Array.make rows 0. in
+  (* one walk: every bad R raises at once, the first bad C only after
+     the last row, so an R is reported before a C *)
+  let bad_c = ref (-1) in
   for row = 0 to rows - 1 do
+    Response.set_conductance ~who:"Large.operator" tree conductance row;
     let id = row + 1 in
     let c = Float.max floor capacitance.(id) /. dt in
     (* a non-finite entry would turn every later sample into NaN *)
-    if not (Float.is_finite c) then
-      invalid_arg
-        (Printf.sprintf "Large.operator: node %S has a capacitance too large for a finite C/dt"
-           (Rctree.Tree.node_name tree id));
+    if !bad_c < 0 && not (Float.is_finite c) then bad_c := id;
     c_over_dt.(row) <- c;
     parent_row.(row) <- parents.(id) - 1
   done;
+  if !bad_c >= 0 then
+    invalid_arg
+      (Printf.sprintf "Large.operator: node %S has a capacitance too large for a finite C/dt"
+         (Rctree.Tree.node_name tree !bad_c));
   { conductance; parent_row; c_over_dt }
 
 let node_count op = Array.length op.conductance

@@ -2,18 +2,20 @@ let m_passes = Obs.Counter.make "response.passes"
 
 type t = { tree : Rctree.Tree.t; t_p : float }
 
+let set_conductance ~who tree g row =
+  let r = (Rctree.Tree.flat tree).Rctree.Tree.resistance.(row + 1) in
+  g.(row) <- 1. /. r;
+  (* a non-finite 1/R would turn every answer into NaN *)
+  if not (r > 0. && Float.is_finite g.(row)) then
+    invalid_arg
+      (Printf.sprintf "%s: node %S %s" who (Rctree.Tree.node_name tree (row + 1))
+         (if r > 0. then "has a resistance too small for a finite 1/R"
+          else "connects through zero resistance"))
+
 let conductances ~who tree =
-  let { Rctree.Tree.resistance; _ } = Rctree.Tree.flat tree in
-  let g = Array.make (Array.length resistance - 1) 0. in
+  let g = Array.make (Rctree.Tree.node_count tree - 1) 0. in
   for row = 0 to Array.length g - 1 do
-    let r = resistance.(row + 1) in
-    g.(row) <- 1. /. r;
-    (* a non-finite 1/R would turn every answer into NaN *)
-    if not (r > 0. && Float.is_finite g.(row)) then
-      invalid_arg
-        (Printf.sprintf "%s: node %S %s" who (Rctree.Tree.node_name tree (row + 1))
-           (if r > 0. then "has a resistance too small for a finite 1/R"
-            else "connects through zero resistance"))
+    set_conductance ~who tree g row
   done;
   g
 

@@ -19,6 +19,11 @@ val conductances : who:string -> Rctree.Tree.t -> float array
     on [R <= 0] ("connects through zero resistance") or a non-finite
     [1/R] ("has a resistance too small for a finite 1/R"). *)
 
+val set_conductance : who:string -> Rctree.Tree.t -> float array -> int -> unit
+(** The rule of {!conductances} for one row: writes its [1/R] into the
+    array, then raises as {!conductances} does, for a caller that
+    fills other per-row arrays in the same loop. *)
+
 val make : Rctree.Tree.t -> t
 (** Raises [Invalid_argument] on distributed lines or an edge
     {!conductances} refuses.  No capacitance floor is applied. *)

@@ -594,6 +594,12 @@ let stats_cmd () =
            ~t_end:2e-9 ~input:Circuit.Transient.step_input);
       let adder = Sta.Generate.ripple_carry_adder ~bits:4 () in
       ignore (Sta.Report.timing_report (Sta.Analysis.run_exn adder));
+      (* a Monte-Carlo spread, the pool's client *)
+      ignore
+        (Tech.Variation.monte_carlo ~samples:8 Tech.Process.default_4um ~threshold:0.5
+           ~build:(fun process ->
+             let tree = Tech.Pla.line_tree process (Tech.Pla.default_params process) ~minterms:4 in
+             (tree, Rctree.Tree.output_named tree "out")));
       (* the query handle: every node of the chain from its one
          all-node pass, against the per-output reference *)
       let h = Rctree.Analysis.make chain in
@@ -738,15 +744,22 @@ let deadline_arg =
 let t_end_arg =
   Arg.(required & opt (some float) None & info [ "t-end" ] ~docv:"T" ~doc:"Simulation end time.")
 
-(* sample and frequency-point counts: each grid runs from its first to
-   its last value in N - 1 steps, so it needs N >= 2 *)
-let count =
+(* checked converters: a value outside the flag's range is a usage
+   error, exit 2 with cmdliner's message naming the flag *)
+let checked conv ok expected =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n < 2 -> Error (`Msg (Printf.sprintf "expected a count of at least 2, got %d" n))
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) -> Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
     | r -> r
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+(* sample and frequency-point counts: each grid runs from its first to
+   its last value in N - 1 steps, so it needs N >= 2 *)
+let count = checked Arg.int (fun n -> n >= 2) "a count of at least 2"
+
+(* a required time, hold time or the like *)
+let time = checked Arg.float (fun t -> Float.is_finite t && t >= 0.) "a finite time >= 0"
 
 let samples_arg =
   Arg.(
@@ -879,7 +892,7 @@ let cmd_ac =
 let period_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some time) None
     & info [ "period" ] ~docv:"T" ~doc:"Required time for slack/verdicts (seconds).")
 
 let elmore_flag =
@@ -888,7 +901,7 @@ let elmore_flag =
 let hold_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some time) None
     & info [ "hold" ] ~docv:"T" ~doc:"Hold requirement checked against the early edges (seconds).")
 
 let cmd_sta =
@@ -899,24 +912,21 @@ let cmd_sta =
       $ obs_term $ file_arg $ period_arg $ hold_arg $ elmore_flag)
 
 let adder_cmd bits period =
-  if bits < 1 then begin
-    prerr_endline "adder: --bits must be >= 1";
-    1
-  end
-  else begin
-    let d = Sta.Generate.ripple_carry_adder ~bits () in
-    Printf.printf "%d-bit ripple-carry adder: %d nand2 instances, logic depth %d\n\n" bits
-      (List.length (Sta.Design.instances d))
-      (Sta.Generate.carry_chain_depth ~bits);
-    let r = Sta.Analysis.run_exn d in
-    print_string (Sta.Report.timing_report ?period r);
-    Printf.printf "minimum certified period: %s\n"
-      (Rctree.Units.format_quantity ~unit_symbol:"s" (Sta.Analysis.required_period r));
-    0
-  end
+  let d = Sta.Generate.ripple_carry_adder ~bits () in
+  Printf.printf "%d-bit ripple-carry adder: %d nand2 instances, logic depth %d\n\n" bits
+    (List.length (Sta.Design.instances d))
+    (Sta.Generate.carry_chain_depth ~bits);
+  let r = Sta.Analysis.run_exn d in
+  print_string (Sta.Report.timing_report ?period r);
+  Printf.printf "minimum certified period: %s\n"
+    (Rctree.Units.format_quantity ~unit_symbol:"s" (Sta.Analysis.required_period r));
+  0
 
 let bits_arg =
-  Arg.(value & opt int 8 & info [ "bits" ] ~docv:"N" ~doc:"Adder width in bits.")
+  Arg.(
+    value
+    & opt (checked int (fun n -> n >= 1) "a count of at least 1") 8
+    & info [ "bits" ] ~docv:"N" ~doc:"Adder width in bits (at least 1).")
 
 let cmd_adder =
   Cmd.v

@@ -31,6 +31,7 @@ module Convert = Convert
 module Lump = Lump
 module Validate = Validate
 module Units = Units
+module Scan = Scan
 module Analysis = Analysis
 
 (* the one-shot functions are thin wrappers over a throwaway handle;

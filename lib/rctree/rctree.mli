@@ -34,6 +34,7 @@ module Convert = Convert
 module Lump = Lump
 module Validate = Validate
 module Units = Units
+module Scan = Scan
 
 module Analysis = Analysis
 (** Build-once / query-many handle: {!Analysis.make} computes the

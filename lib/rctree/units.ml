@@ -46,9 +46,6 @@ let suffix_scale s i n =
     | 't' -> 1e12
     | _ -> 1.
 
-let space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
-let rec skip_space s i = if i < String.length s && space s.[i] then skip_space s (i + 1) else i
-let rec drop_space s a j = if j > a && space s.[j - 1] then drop_space s a (j - 1) else j
 let exponent_follows s i n = i < n && match s.[i] with '0' .. '9' | '+' | '-' -> true | _ -> false
 
 (* the end of the numeric prefix of [s.[i .. n - 1]]; 'e'/'E' counts
@@ -64,8 +61,8 @@ let rec num_end s i n =
 (* reads the trimmed token in place: the only allocation besides the
    result is the numeric prefix, when it is not the whole string *)
 let parse_si s =
-  let a = skip_space s 0 in
-  let n = drop_space s a (String.length s) in
+  let a = Scan.trim_start s 0 (String.length s) in
+  let n = Scan.trim_end s a (String.length s) in
   let split = num_end s a n in
   if split = a then None
   else

@@ -8,18 +8,12 @@ exception Parse_error of error
 
 let fail ?(column = 0) line message = raise (Parse_error { line; column; message })
 
-let blank c = c = ' ' || c = '\t'
-let trimmed c = blank c || c = '\012' || c = '\n' || c = '\r'
+open Rctree.Scan
+
 let stop c = c = '\n' || c = ';' || c = '$'
 
-(* in-place scans: where, from [i], the line, the code before a comment
-   or the line end, the leading trim and a token end; [trim_end] drops
-   the trailing trim *)
-let rec eol text i e = if i < e && text.[i] <> '\n' then eol text (i + 1) e else i
+(* where, from [i], the code before a comment or the line end *)
 let rec code_end text i e = if i < e && not (stop text.[i]) then code_end text (i + 1) e else i
-let rec trim_start text i e = if i < e && trimmed text.[i] then trim_start text (i + 1) e else i
-let rec trim_end text s e = if e > s && trimmed text.[e - 1] then trim_end text s (e - 1) else e
-let rec token_end text i e = if i < e && not (blank text.[i]) then token_end text (i + 1) e else i
 
 (* 1-based column of the first whole-token occurrence of [tok] in [line] *)
 let column_of line tok =

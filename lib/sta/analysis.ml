@@ -11,24 +11,15 @@ type step =
   | Through_net of { net : string; launch : window; arrival : window }
   | Through_cell of { instance : string; cell : string; input : string; output : window }
 
-(* Every name is resolved to an int id once, in [index]: instances in
-   sorted-name order (as in [Graph]), nets in declaration order, and
-   load pins numbered net by net in load-list order.  Everything the
-   run computes is then an array indexed by one of those ids. *)
+(* Everything is indexed by the design's ids: instances and nets as
+   added, loads as numbered by [Design.first_load]. *)
 type t = {
   design : Design.t;
   analysis_mode : mode;
   thresh : float;
-  inst_ids : (string, int) Hashtbl.t;
-  cells : Celllib.cell array; (* instance -> cell *)
-  net_ids : (string, int) Hashtbl.t;
-  nets : Design.net array; (* in declaration order *)
-  pin_loads : int array array; (* instance -> load on each input pin; -1 if open *)
-  load_net : int array; (* load -> net feeding it *)
-  first_load : int array; (* net -> its first load; loads of a net are consecutive *)
-  drives : int array; (* instance -> net its output drives; -1 if none *)
   launches : window array; (* net -> window at driver output *)
-  pin_arrivals : window array; (* load -> window *)
+  pin_early : float array; (* load -> arrival window *)
+  pin_late : float array;
   out_arrivals : window array; (* instance -> output window *)
   crit_input : int array; (* instance -> input pin position setting the late edge *)
   ends : (window * int) option array;
@@ -37,78 +28,9 @@ type t = {
 
 let zero = { early = 0.; late = 0. }
 let add_window a b = { early = a.early +. b.early; late = a.late +. b.late }
+let pin_window r l = { early = r.pin_early.(l); late = r.pin_late.(l) }
 
-let index mode thresh d =
-  let insts = Array.of_list (Design.instances d) and nets = Array.of_list (Design.nets d) in
-  let ids_of names =
-    let tbl = Hashtbl.create (2 * Array.length names) in
-    Array.iteri (fun i name -> Hashtbl.replace tbl name i) names;
-    tbl
-  in
-  let inst_ids = ids_of (Array.map fst insts) in
-  let cells = Array.map snd insts in
-  let first_load = Array.make (Array.length nets + 1) 0 in
-  Array.iteri
-    (fun i (net : Design.net) ->
-      first_load.(i + 1) <- first_load.(i) + List.length net.Design.loads)
-    nets;
-  let n_loads = first_load.(Array.length nets) in
-  let r =
-    {
-      design = d;
-      analysis_mode = mode;
-      thresh;
-      inst_ids;
-      cells;
-      net_ids = ids_of (Array.map (fun (n : Design.net) -> n.Design.net_name) nets);
-      nets;
-      pin_loads = Array.map (fun c -> Array.make (List.length c.Celllib.inputs) (-1)) cells;
-      load_net = Array.make n_loads 0;
-      first_load;
-      drives = Array.make (Array.length cells) (-1);
-      launches = Array.make (Array.length nets) zero;
-      pin_arrivals = Array.make n_loads zero;
-      out_arrivals = Array.make (Array.length cells) zero;
-      crit_input = Array.make (Array.length cells) 0;
-      ends = Array.make (Array.length nets) None;
-    }
-  in
-  Array.iteri
-    (fun i (net : Design.net) ->
-      (match net.Design.driver with
-      | Design.Primary _ -> ()
-      | Design.Cell_output { instance; _ } -> r.drives.(Hashtbl.find inst_ids instance) <- i);
-      List.iteri
-        (fun k { Design.instance; pin } ->
-          let u = Hashtbl.find inst_ids instance in
-          r.pin_loads.(u).(Option.get (Celllib.input_index cells.(u) pin)) <- first_load.(i) + k;
-          r.load_net.(first_load.(i) + k) <- i)
-        net.Design.loads)
-    nets;
-  r
-
-(* per-net interconnect delays in the chosen mode: [pins] for every load
-   in load-list order, [noload] the far-end window of a loadless net,
-   [load] the capacitance the driver charges.  Pure in the design:
-   safe to evaluate for many nets concurrently. *)
-type net_delay = { pins : window array; noload : window; load : float }
-
-let net_delay mode threshold d (net : Design.net) =
-  let f = Netdelay.figures ~threshold d net in
-  let window (s : Netdelay.sink_delay) =
-    match mode with
-    | Bounds_mode -> { early = fst s.window; late = snd s.window }
-    | Elmore_mode -> { early = s.elmore; late = s.elmore }
-  in
-  let noload =
-    match (mode, net.Design.loads) with
-    | Bounds_mode, [] -> { early = fst f.far_end; late = snd f.far_end }
-    | Elmore_mode, [] -> { early = Lazy.force f.far_end_elmore; late = Lazy.force f.far_end_elmore }
-    | _, _ :: _ -> zero
-  in
-  { pins = Array.map window f.sinks; noload; load = f.load }
-
-let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) ?pool d =
+let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) ?pool:_ d =
   List.iter
     (fun (name, at) ->
       (match Design.net d name with
@@ -121,83 +43,105 @@ let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) ?pool d 
       if at < 0. then invalid_arg "Analysis.run: negative input arrival")
     input_arrivals;
   Obs.Counter.incr m_runs;
-  match
-    Obs.Span.with_ ~name:"sta.order" (fun () -> Graph.topological_order (Graph.of_design d))
-  with
-  | Error cycle -> Error cycle
+  match Obs.Span.with_ ~name:"sta.order" (fun () -> Graph.design_order d) with
+  | Error stuck -> Error (Graph.stuck_names d stuck)
   | Ok order ->
-      let r = Obs.Span.with_ ~name:"sta.index" (fun () -> index mode threshold d) in
-      (* the expensive part — one RC-tree analysis per net — is
-         independent across nets; fan it out before the (cheap,
-         order-dependent) propagation below *)
-      let delays =
-        Obs.Span.with_ ~name:"sta.netdelay" (fun () ->
-            Parallel.Pool.map ?pool (net_delay mode threshold d) r.nets)
+      let nets = Design.net_count d and insts = Design.instance_count d in
+      let n_loads = Design.first_load d nets in
+      let r =
+        {
+          design = d;
+          analysis_mode = mode;
+          thresh = threshold;
+          launches = Array.make nets zero;
+          pin_early = Array.make n_loads 0.;
+          pin_late = Array.make n_loads 0.;
+          out_arrivals = Array.make insts zero;
+          crit_input = Array.make insts 0;
+          ends = Array.make nets None;
+        }
+      in
+      let f = Obs.Span.with_ ~name:"sta.netdelay" (fun () -> Netdelay.all_figures ~threshold d) in
+      let delay_early, delay_late =
+        match mode with
+        | Bounds_mode -> (f.t_min, f.t_max)
+        | Elmore_mode -> (f.elmore, f.elmore)
       in
       (* launch a net: arrival at each of its loads *)
       let propagate_net i launch =
         Obs.Counter.incr m_nets;
         r.launches.(i) <- launch;
-        Array.iteri
-          (fun k w -> r.pin_arrivals.(r.first_load.(i) + k) <- add_window launch w)
-          delays.(i).pins
+        for l = Design.first_load d i to Design.first_load d (i + 1) - 1 do
+          r.pin_early.(l) <- launch.early +. delay_early.(l);
+          r.pin_late.(l) <- launch.late +. delay_late.(l)
+        done
+      in
+      (* arrival at input pin [k] of instance [u]; 0 when open *)
+      let input_early u k =
+        let l = Design.pin_load d u k in
+        if l < 0 then 0. else r.pin_early.(l)
+      and input_late u k =
+        let l = Design.pin_load d u k in
+        if l < 0 then 0. else r.pin_late.(l)
       in
       Obs.Span.with_ ~name:"sta.propagate" (fun () ->
-          Array.iteri
-            (fun i (net : Design.net) ->
-              match net.Design.driver with
-              | Design.Primary _ ->
-                  let at =
-                    Option.value (List.assoc_opt net.Design.net_name input_arrivals) ~default:0.
-                  in
-                  propagate_net i { early = at; late = at }
-              | Design.Cell_output _ -> ())
-            r.nets;
+          for i = 0 to nets - 1 do
+            match (Design.net_of_id d i).Design.driver with
+            | Design.Primary _ ->
+                let name = (Design.net_of_id d i).Design.net_name in
+                let at = Option.value (List.assoc_opt name input_arrivals) ~default:0. in
+                propagate_net i { early = at; late = at }
+            | Design.Cell_output _ -> ()
+          done;
           (* instances in topological order *)
-          List.iter
-            (fun name ->
+          Array.iter
+            (fun u ->
               Obs.Counter.incr m_instances;
-              let u = Hashtbl.find r.inst_ids name in
-              let cell = r.cells.(u) and loads = r.pin_loads.(u) in
-              let input k = if loads.(k) < 0 then zero else r.pin_arrivals.(loads.(k)) in
+              let cell = Design.instance_cell d u in
+              let pins = List.length cell.Celllib.inputs in
               let crit = ref 0 in
-              for k = 1 to Array.length loads - 1 do
-                if (input k).late > (input !crit).late then crit := k
+              for k = 1 to pins - 1 do
+                if input_late u k > input_late u !crit then crit := k
               done;
-              let worst = input !crit in
-              let earliest = ref worst.early in
-              for k = 0 to Array.length loads - 1 do
-                earliest := Float.min !earliest (input k).early
+              let earliest = ref (input_early u !crit) in
+              for k = 0 to pins - 1 do
+                earliest := Float.min !earliest (input_early u k)
               done;
-              let net = r.drives.(u) in
-              let load = if net < 0 then 0. else delays.(net).load in
+              let net = Design.driven_net d u in
+              let load = if net < 0 then 0. else f.loads.(net) in
               let cell_delay =
                 cell.Celllib.intrinsic_delay +. (cell.Celllib.delay_per_farad *. load)
               in
-              let out = { early = !earliest +. cell_delay; late = worst.late +. cell_delay } in
+              let out = { early = !earliest +. cell_delay; late = input_late u !crit +. cell_delay } in
               r.out_arrivals.(u) <- out;
               r.crit_input.(u) <- !crit;
               if net >= 0 then propagate_net net out)
             order);
       Obs.Span.with_ ~name:"sta.endpoints" (fun () ->
           List.iter
-            (fun po ->
+            (fun i ->
               Obs.Counter.incr m_endpoints;
-              let i = Hashtbl.find r.net_ids po in
-              let first = r.first_load.(i) and last = r.first_load.(i + 1) - 1 in
+              let first = Design.first_load d i and last = Design.first_load d (i + 1) - 1 in
               let arrival, sink =
-                if last < first then (add_window r.launches.(i) delays.(i).noload, -1)
+                if last < first then begin
+                  let far =
+                    match mode with
+                    | Bounds_mode -> { early = f.far_min.(i); late = f.far_max.(i) }
+                    | Elmore_mode -> { early = f.far_elmore.(i); late = f.far_elmore.(i) }
+                  in
+                  (add_window r.launches.(i) far, -1)
+                end
                 else begin
                   (* the first load with the latest late edge *)
                   let sink = ref first in
                   for l = first + 1 to last do
-                    if not (r.pin_arrivals.(!sink).late >= r.pin_arrivals.(l).late) then sink := l
+                    if not (r.pin_late.(!sink) >= r.pin_late.(l)) then sink := l
                   done;
-                  (r.pin_arrivals.(!sink), !sink)
+                  (pin_window r !sink, !sink)
                 end
               in
               r.ends.(i) <- Some (arrival, sink))
-            (Design.primary_outputs d));
+            (Design.primary_output_ids d));
       Ok r
 
 let run_exn ?mode ?threshold ?input_arrivals ?pool d =
@@ -208,18 +152,19 @@ let run_exn ?mode ?threshold ?input_arrivals ?pool d =
 
 let mode r = r.analysis_mode
 let threshold r = r.thresh
-let net_launch r name = r.launches.(Hashtbl.find r.net_ids name)
+let net_launch r name = r.launches.(Design.net_id r.design name)
 
 let pin_arrival r { Design.instance; pin } =
-  let u = Hashtbl.find r.inst_ids instance in
-  match Celllib.input_index r.cells.(u) pin with
-  | Some k when r.pin_loads.(u).(k) >= 0 -> r.pin_arrivals.(r.pin_loads.(u).(k))
+  let u = Design.instance_id r.design instance in
+  match Celllib.input_index (Design.instance_cell r.design u) pin with
+  | Some k when Design.pin_load r.design u k >= 0 ->
+      pin_window r (Design.pin_load r.design u k)
   | Some _ | None -> raise Not_found
 
-let output_arrival r name = r.out_arrivals.(Hashtbl.find r.inst_ids name)
+let output_arrival r name = r.out_arrivals.(Design.instance_id r.design name)
 
 let end_of r name =
-  match r.ends.(Hashtbl.find r.net_ids name) with Some e -> e | None -> raise Not_found
+  match r.ends.(Design.net_id r.design name) with Some e -> e | None -> raise Not_found
 
 let endpoint_arrival r name = fst (end_of r name)
 
@@ -233,30 +178,33 @@ let worst_endpoint r =
     None (endpoints r)
 
 let critical_path r endpoint =
+  let d = r.design in
   (* [sink]: the load the path arrives at, or -1 for the far end *)
   let rec back_from_net i sink steps =
     let launch = r.launches.(i) in
-    let arrival = if sink < 0 then fst (Option.get r.ends.(i)) else r.pin_arrivals.(sink) in
-    let steps = Through_net { net = r.nets.(i).Design.net_name; launch; arrival } :: steps in
-    match r.nets.(i).Design.driver with
-    | Design.Primary _ -> steps
-    | Design.Cell_output { instance; _ } ->
-        let u = Hashtbl.find r.inst_ids instance in
-        let k = r.crit_input.(u) in
-        let steps =
-          Through_cell
-            {
-              instance;
-              cell = r.cells.(u).Celllib.cell_name;
-              input = fst (List.nth r.cells.(u).Celllib.inputs k);
-              output = r.out_arrivals.(u);
-            }
-          :: steps
-        in
-        let l = r.pin_loads.(u).(k) in
-        if l < 0 then steps else back_from_net r.load_net.(l) l steps
+    let arrival = if sink < 0 then fst (Option.get r.ends.(i)) else pin_window r sink in
+    let steps =
+      Through_net { net = (Design.net_of_id d i).Design.net_name; launch; arrival } :: steps
+    in
+    let u = Design.driver_instance d i in
+    if u < 0 then steps
+    else begin
+      let k = r.crit_input.(u) and cell = Design.instance_cell d u in
+      let steps =
+        Through_cell
+          {
+            instance = Design.instance_name d u;
+            cell = cell.Celllib.cell_name;
+            input = fst (List.nth cell.Celllib.inputs k);
+            output = r.out_arrivals.(u);
+          }
+        :: steps
+      in
+      let l = Design.pin_load d u k in
+      if l < 0 then steps else back_from_net (Design.load_net d l) l steps
+    end
   in
-  back_from_net (Hashtbl.find r.net_ids endpoint) (snd (end_of r endpoint)) []
+  back_from_net (Design.net_id d endpoint) (snd (end_of r endpoint)) []
 
 let hold_slack r ~hold =
   if hold < 0. then invalid_arg "Analysis.hold_slack: negative hold requirement";

@@ -28,10 +28,12 @@ val run :
     [Invalid_argument].  [Error cycle] when the design has a
     combinational loop.
 
-    The per-net interconnect analyses — the expensive part of a run —
-    are independent and are fanned out through [pool] (default: the
-    shared {!Parallel.Pool.get}); results are identical to a serial
-    run. *)
+    The run reads the design through its ids ({!Design.first_load} and
+    friends): one topological order ({!Graph.design_order}), the
+    figures of every net from {!Netdelay.all_figures}, then arrivals in
+    flat arrays; no name is sorted or hashed.  [pool] is accepted and
+    ignored — a net's figures cost less than a fan-out's hand-off; the
+    parameter stays only so existing callers compile. *)
 
 val run_exn :
   ?mode:mode ->

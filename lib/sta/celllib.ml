@@ -35,7 +35,7 @@ let library cells =
     invalid_arg "Celllib.library: duplicate cell name";
   List.map (fun c -> (c.cell_name, c)) cells
 
-let find lib name = List.assoc name lib
+let find lib name = snd (List.find (fun (n, _) -> String.equal n name) lib)
 let cells lib = List.map snd lib
 
 let default process =

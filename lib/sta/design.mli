@@ -32,6 +32,11 @@ type net = {
 }
 
 type t
+(** Instances and nets are numbered from 0 as they are added, and each
+    name is hashed once, on its way in; every reference (a net's driver,
+    its load pins) is resolved to those numbers by {!add_net}.  The
+    timing engine reads the design through the numbers (see "Ids"
+    below), so a run hashes no name. *)
 
 val create : Celllib.library -> t
 
@@ -74,3 +79,51 @@ val check : t -> string list
 (** Residual problems, human-readable: instances with unconnected
     input pins, cell outputs driving nothing, nets with no loads.
     Empty means clean. *)
+
+(** {2 Ids}
+
+    The numbered view the timing engine reads.  Loads are numbered net
+    by net in load-list order: net [i] owns loads [first_load d i] to
+    [first_load d (i + 1) - 1]. *)
+
+val instance_count : t -> int
+
+val instance_id : t -> string -> int
+(** Raises [Not_found]. *)
+
+val instance_name : t -> int -> string
+val instance_cell : t -> int -> Celllib.cell
+
+val sorted_instance_ids : t -> int array
+(** Instance ids in name order, as {!instances} lists them; shared, do
+    not mutate. *)
+
+val pin_load : t -> int -> int -> int
+(** [pin_load d u k]: the load on input pin [k] (in [cell.inputs]
+    order) of instance [u]; negative when no net loads it. *)
+
+val driven_net : t -> int -> int
+(** The net driven by the instance's output; negative for none. *)
+
+val net_count : t -> int
+
+val net_id : t -> string -> int
+(** Raises [Not_found]. *)
+
+val net_of_id : t -> int -> net
+
+val driver_instance : t -> int -> int
+(** The instance driving the net; [-1] for a primary input. *)
+
+val first_load : t -> int -> int
+(** Defined for [0 <= i <= net_count d]. *)
+
+val load_instance : t -> int -> int
+val load_pin : t -> int -> int
+(** The input pin position of a load on its instance. *)
+
+val load_net : t -> int -> int
+(** The net owning the load, in O(log nets). *)
+
+val primary_output_ids : t -> int list
+(** {!primary_outputs} as net ids. *)

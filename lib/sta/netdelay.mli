@@ -1,10 +1,18 @@
 (** Interconnect delay of one net, through the paper's machinery.
 
-    For every net the engine builds the RC tree of Fig. 2: the driver's
-    linearized resistance at the root, its output parasitics, the wire
-    shape, and the load-pin gate capacitances at the sinks.  Per-sink
-    delay then comes either as an Elmore estimate or as a
-    Penfield–Rubinstein [(t_min, t_max)] window. *)
+    Every net is the RC tree of Fig. 2: the driver's linearized
+    resistance at the root, its output parasitics, the wire shape, and
+    the load-pin gate capacitances at the sinks.  Per-sink delay then
+    comes either as an Elmore estimate or as a Penfield–Rubinstein
+    [(t_min, t_max)] window.
+
+    The engine ({!figures}, {!all_figures}) builds no {!Rctree.Tree}: it
+    lays each net's tree out node by node in flat arrays reused from net
+    to net, reading the design's ids, and runs the one-pass moments
+    recursion of {!Rctree.Moments.all_sums} over them, term for term, so
+    its answers are bit-identical to {!Rctree.Analysis} on
+    {!tree_of_net} (tested).  {!tree_of_net} stays for reports and as
+    that oracle. *)
 
 val tree_of_net : Design.t -> Design.net -> Rctree.Tree.t
 (** Sink nodes are marked as outputs labelled ["instance/pin"], in
@@ -26,25 +34,41 @@ type figures = {
       (** [(t_min, t_max)] at the far end of a loadless net's wire;
           [(0, 0)] when the net has loads *)
   far_end_elmore : float Lazy.t;
-      (** Elmore delay to a loadless net's far end by the per-output
-          reference [Rctree.Moments.elmore]; forced only when asked for *)
+      (** Elmore delay to a loadless net's far end, summed as the
+          per-output reference [Rctree.Moments.elmore] sums it; [0] when
+          the net has loads *)
   load : float;  (** {!load_capacitance} *)
 }
 
 val figures : ?threshold:float -> Design.t -> Design.net -> figures
-(** Everything the timing engine reads about one net, from one RC tree
-    and one all-node moments pass.  {!sink_delays}, {!worst_window}
-    and {!load_capacitance} are views of it. *)
+(** Everything the timing engine reads about one net of the design, from
+    one flat moments pass.  {!sink_delays}, {!worst_window} and
+    {!load_capacitance} are views of it.  Raises [Not_found] when the
+    design has no net of that name. *)
+
+type table = {
+  elmore : float array;  (** per load id (see {!Design.first_load}) *)
+  t_min : float array;  (** per load id *)
+  t_max : float array;  (** per load id *)
+  far_min : float array;  (** per net id: a loadless net's [far_end]; else 0 *)
+  far_max : float array;
+  far_elmore : float array;
+  loads : float array;  (** per net id: its {!load_capacitance} *)
+}
+
+val all_figures : ?threshold:float -> Design.t -> table
+(** {!figures} of every net, serially, in net-id order, into flat
+    arrays: what {!Analysis.run} reads. *)
 
 val sink_delays : ?threshold:float -> Design.t -> Design.net -> sink_delay list
 (** Threshold defaults to 0.5.  Order follows the net's load list. *)
 
 val all_sink_delays :
   ?pool:Parallel.Pool.t -> ?threshold:float -> Design.t -> (string * sink_delay list) list
-(** {!sink_delays} of every net of the design, one independent RC-tree
-    analysis per net run through the pool (default: the shared
-    {!Parallel.Pool.get}).  Order follows [Design.nets]; results are
-    identical to the serial per-net calls. *)
+(** {!sink_delays} of every net of the design, in [Design.nets] order.
+    [pool] is accepted and ignored: a net's figures cost less than a
+    fan-out's hand-off; the parameter stays only so existing callers
+    compile. *)
 
 val load_capacitance : Design.t -> Design.net -> float
 (** Total capacitance the net's driver must charge: wire plus every

@@ -6,123 +6,148 @@ exception Err of error
 
 let fail line message = raise (Err { line; message })
 
-let parse_value line what s =
+(* The reader works on byte ranges [text.[a .. b - 1]] of the whole
+   text and cuts a string out only for a name or a number it keeps, or
+   for an error message. *)
+let sub text a b = String.sub text a (b - a)
+
+let rec same text a word k = k = String.length word || (text.[a + k] = word.[k] && same text a word (k + 1))
+let is text a b word = b - a = String.length word && same text a word 0
+
+let has text c a b = Rctree.Scan.index text c a b < b
+
+let parse_value line what text a b =
+  let s = sub text a b in
   match Rctree.Units.parse_si s with
   | Some v when Float.is_finite v && v >= 0. -> v
   | Some _ | None -> fail line (Printf.sprintf "bad %s value %S" what s)
 
-let parse_pin line s =
-  match String.split_on_char '/' s with
-  | [ instance; pin ] when instance <> "" && pin <> "" -> { Design.instance; pin }
-  | _ -> fail line (Printf.sprintf "bad pin %S (expected instance/pin)" s)
+(* "R,C" or "R:C" after [a], separated by [sep]: the C is read, and so
+   blamed, first *)
+let two line what text sep a b k =
+  let i = Rctree.Scan.index text sep a b in
+  if i = b || has text sep (i + 1) b then None
+  else
+    let c = parse_value line (what ^ " capacitance") text (i + 1) b in
+    Some (k (parse_value line (what ^ " resistance") text a i) c)
 
-let parse_pins line s =
-  if String.trim s = "" then []
-  else List.map (parse_pin line) (String.split_on_char ',' s)
+let parse_pin line text a b =
+  let i = Rctree.Scan.index text '/' a b in
+  if i = a || i >= b - 1 || has text '/' (i + 1) b then
+    fail line (Printf.sprintf "bad pin %S (expected instance/pin)" (sub text a b));
+  { Design.instance = sub text a i; pin = sub text (i + 1) b }
 
-let parse_wire line s =
-  let two what rest k =
-    match String.split_on_char ',' rest with
-    | [ a; b ] -> k (parse_value line (what ^ " resistance") a) (parse_value line (what ^ " capacitance") b)
-    | _ -> fail line (Printf.sprintf "wire %s needs R,C" what)
+(* comma-separated; an all-blank list is empty *)
+let parse_pins line text a b =
+  let rec from a =
+    let i = Rctree.Scan.index text ',' a b in
+    let pin = parse_pin line text a i in
+    pin :: (if i < b then from (i + 1) else [])
   in
-  match String.index_opt s ':' with
-  | None when s = "direct" -> Design.Direct
-  | None -> fail line (Printf.sprintf "unknown wire shape %S" s)
-  | Some i -> (
-      let kind = String.sub s 0 i and rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match kind with
-      | "lumped" -> Design.Lumped (parse_value line "lumped capacitance" rest)
-      | "line" -> two "line" rest (fun resistance capacitance -> Design.Line { resistance; capacitance })
-      | "star" -> two "star" rest (fun resistance capacitance -> Design.Star { resistance; capacitance })
-      | "daisy" -> two "daisy" rest (fun resistance capacitance -> Design.Daisy { resistance; capacitance })
-      | _ -> fail line (Printf.sprintf "unknown wire shape %S" kind))
+  if Rctree.Scan.trim_start text a b = b then [] else from a
 
-let parse_drive line s =
-  match String.split_on_char ':' s with
-  | [ r; c ] -> (
-      try
-        Tech.Mosfet.driver ~name:"input"
-          ~on_resistance:(parse_value line "drive resistance" r)
-          ~output_capacitance:(parse_value line "drive capacitance" c)
-          ()
-      with Invalid_argument m -> fail line m)
-  | _ -> fail line (Printf.sprintf "bad drive spec %S (expected R:C)" s)
+let wire_pair line what text a b k =
+  match two line what text ',' a b k with
+  | Some w -> w
+  | None -> fail line (Printf.sprintf "wire %s needs R,C" what)
 
-(* split "key=value" tokens into an association list *)
-let keyed_args line tokens =
-  List.map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | Some i -> (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-      | None -> fail line (Printf.sprintf "expected key=value, got %S" tok))
-    tokens
+let parse_wire line text a b =
+  let i = Rctree.Scan.index text ':' a b in
+  if i = b then
+    if is text a b "direct" then Design.Direct
+    else fail line (Printf.sprintf "unknown wire shape %S" (sub text a b))
+  else if is text a i "lumped" then Design.Lumped (parse_value line "lumped capacitance" text (i + 1) b)
+  else if is text a i "line" then
+    wire_pair line "line" text (i + 1) b (fun resistance capacitance ->
+        Design.Line { resistance; capacitance })
+  else if is text a i "star" then
+    wire_pair line "star" text (i + 1) b (fun resistance capacitance ->
+        Design.Star { resistance; capacitance })
+  else if is text a i "daisy" then
+    wire_pair line "daisy" text (i + 1) b (fun resistance capacitance ->
+        Design.Daisy { resistance; capacitance })
+  else fail line (Printf.sprintf "unknown wire shape %S" (sub text a i))
 
-let tokens line =
-  String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) line)
-  |> List.filter (fun t -> t <> "")
+let parse_drive line text a b =
+  let driver on_resistance output_capacitance =
+    try Tech.Mosfet.driver ~name:"input" ~on_resistance ~output_capacitance ()
+    with Invalid_argument m -> fail line m
+  in
+  match two line "drive" text ':' a b driver with
+  | Some drv -> drv
+  | None -> fail line (Printf.sprintf "bad drive spec %S (expected R:C)" (sub text a b))
 
-let parse_lines lib lines =
-  let design = Design.create lib in
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      let raw = match String.index_opt raw '#' with Some i -> String.sub raw 0 i | None -> raw in
-      match tokens raw with
-      | [] -> ()
-      | "design" :: _ -> () (* decorative *)
-      | [ "cell"; cell; name ] -> (
-          try Design.add_instance design ~cell name
-          with Invalid_argument m -> fail lineno m)
-      | "input" :: net :: rest -> (
-          let args = keyed_args lineno rest in
-          let drive =
-            match List.assoc_opt "drive" args with
-            | Some s -> parse_drive lineno s
-            | None -> Tech.Mosfet.paper_superbuffer
-          in
-          let loads =
-            match List.assoc_opt "loads" args with
-            | Some s -> parse_pins lineno s
-            | None -> fail lineno "input needs loads=..."
-          in
-          let wire =
-            match List.assoc_opt "wire" args with
-            | Some s -> parse_wire lineno s
-            | None -> Design.Direct
-          in
-          try Design.add_net design ~wire ~driver:(Design.Primary drive) ~loads net
-          with Invalid_argument m -> fail lineno m)
-      | "net" :: net :: rest -> (
-          let args = keyed_args lineno rest in
-          let driver =
-            match List.assoc_opt "driver" args with
-            | Some s -> Design.Cell_output (parse_pin lineno s)
-            | None -> fail lineno "net needs driver=instance/pin"
-          in
-          let loads =
-            match List.assoc_opt "loads" args with
-            | Some s -> parse_pins lineno s
-            | None -> fail lineno "net needs loads=... (possibly empty)"
-          in
-          let wire =
-            match List.assoc_opt "wire" args with
-            | Some s -> parse_wire lineno s
-            | None -> Design.Direct
-          in
-          try Design.add_net design ~wire ~driver ~loads net
-          with Invalid_argument m -> fail lineno m)
-      | [ "output"; net ] -> (
-          try Design.mark_primary_output design net with Invalid_argument m -> fail lineno m)
-      | word :: _ -> fail lineno (Printf.sprintf "unknown declaration %S" word))
-    lines;
-  design
+let keys = [| "drive"; "driver"; "loads"; "wire" |]
+
+(* an input or net declaration: [net] at [a1 .. b1 - 1], key=value
+   tokens from [a2] *)
+let parse_net design line text ~input a1 b1 a2 e =
+  let open Rctree.Scan in
+  (* the first value range of each key, every token checked for '=' first *)
+  let found = Array.make 8 (-1) in
+  let i = ref a2 in
+  while !i < e do
+    let b = token_end text !i e in
+    let eq = index text '=' !i b in
+    if eq = b then fail line (Printf.sprintf "expected key=value, got %S" (sub text !i b));
+    for k = 0 to Array.length keys - 1 do
+      if found.(2 * k) < 0 && is text !i eq keys.(k) then begin
+        found.(2 * k) <- eq + 1;
+        found.((2 * k) + 1) <- b
+      end
+    done;
+    i := skip_blank text b e
+  done;
+  let driver =
+    if input then
+      Design.Primary
+        (if found.(0) < 0 then Tech.Mosfet.paper_superbuffer
+         else parse_drive line text found.(0) found.(1))
+    else if found.(2) < 0 then fail line "net needs driver=instance/pin"
+    else Design.Cell_output (parse_pin line text found.(2) found.(3))
+  in
+  let loads =
+    if found.(4) >= 0 then parse_pins line text found.(4) found.(5)
+    else if input then fail line "input needs loads=..."
+    else fail line "net needs loads=... (possibly empty)"
+  in
+  let wire = if found.(6) < 0 then Design.Direct else parse_wire line text found.(6) found.(7) in
+  try Design.add_net design ~wire ~driver ~loads (sub text a1 b1)
+  with Invalid_argument m -> fail line m
+
+(* one declaration, [text.[a .. e - 1]] with any comment cut *)
+let parse_line design line text a e =
+  let open Rctree.Scan in
+  let t0 = skip_blank text a e in
+  let t1 = token_end text t0 e in
+  let a1 = skip_blank text t1 e in
+  let b1 = token_end text a1 e in
+  let a2 = skip_blank text b1 e in
+  let b2 = token_end text a2 e in
+  if t0 = e || is text t0 t1 "design" then ()
+  else if is text t0 t1 "cell" && a2 < e && skip_blank text b2 e = e then
+    try Design.add_instance design ~cell:(sub text a1 b1) (sub text a2 b2)
+    with Invalid_argument m -> fail line m
+  else if a1 < e && (is text t0 t1 "input" || is text t0 t1 "net") then
+    parse_net design line text ~input:(is text t0 t1 "input") a1 b1 a2 e
+  else if is text t0 t1 "output" && a1 < e && a2 = e then
+    try Design.mark_primary_output design (sub text a1 b1) with Invalid_argument m -> fail line m
+  else fail line (Printf.sprintf "unknown declaration %S" (sub text t0 t1))
 
 let parse_string lib text =
   Obs.Span.with_ ~name:"sta.parse" @@ fun () ->
-  match parse_lines lib (String.split_on_char '\n' text) with
-  | design -> Ok design
-  | exception Err e -> Error e
+  let design = Design.create lib in
+  let len = String.length text in
+  (* the code of a line ends at a '#' or at the newline *)
+  let rec code_end i = if i < len && text.[i] <> '\n' && text.[i] <> '#' then code_end (i + 1) else i in
+  let rec lines pos lineno =
+    if pos <= len then begin
+      let c = code_end pos in
+      parse_line design lineno text pos c;
+      lines (Rctree.Scan.eol text c len + 1) (lineno + 1)
+    end
+  in
+  match lines 0 1 with () -> Ok design | exception Err e -> Error e
 
 let parse_file lib path = parse_string lib (In_channel.with_open_bin path In_channel.input_all)
 

@@ -28,6 +28,16 @@
 
 type error = { line : int; message : string }
 
+(** The reader scans the text in place, by byte index ({!Rctree.Scan}):
+    tokens, [key=value] pairs, load lists and [instance/pin] pairs are
+    byte ranges, and only the names and numbers the design keeps are cut
+    out.  Tokens are separated by spaces and tabs only, so a trailing
+    ['\r'] is part of the last token; [#] starts a comment.  Of a
+    repeated key the first counts.  An input reads [drive], then
+    [loads], then [wire]; a net [driver], then [loads], then [wire]; of
+    an [R:C] or [R,C] pair the C first — the first failure is the one
+    reported. *)
+
 val parse_string : Celllib.library -> string -> (Design.t, error) result
 
 val parse_file : Celllib.library -> string -> (Design.t, error) result

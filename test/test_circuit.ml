@@ -844,6 +844,44 @@ let large_tests =
             ("unknown node", Some [ 7 ], 0.1, 1.);
             ("unknown node before a bad grid", Some [ 7 ], 0., 1.);
           ]);
+    Alcotest.test_case "operator reports a bad R before a bad C, rows in one walk" `Quick
+      (fun () ->
+        (* a chain n1..n5: C = 1e308 on n1 and R = 5e-324 above n5 *)
+        let chain ~bad_c ~bad_r =
+          let open Rctree.Tree.Builder in
+          let b = create () in
+          let last = ref (input b) in
+          for k = 1 to 5 do
+            let r = if bad_r && k = 5 then 5e-324 else 100. *. float_of_int k in
+            let n = add_resistor b ~parent:!last ~name:(Printf.sprintf "n%d" k) r in
+            add_capacitance b n (if bad_c && k = 1 then 1e308 else 1e-12 *. float_of_int k);
+            last := n
+          done;
+          finish b
+        in
+        let message tree =
+          match operator tree ~dt:5e-11 with
+          | _ -> "ok"
+          | exception Invalid_argument m -> m
+        in
+        Alcotest.(check string) "R first"
+          "Large.operator: node \"n5\" has a resistance too small for a finite 1/R"
+          (message (chain ~bad_c:true ~bad_r:true));
+        Alcotest.(check string) "C alone"
+          "Large.operator: node \"n1\" has a capacitance too large for a finite C/dt"
+          (message (chain ~bad_c:true ~bad_r:false));
+        let tree = chain ~bad_c:false ~bad_r:false in
+        let op = operator tree ~dt:5e-11 in
+        let floor = 1e-12 *. Rctree.Tree.total_capacitance tree in
+        Array.iteri
+          (fun row c ->
+            Alcotest.(check string) (Printf.sprintf "C/dt row %d" row)
+              (Printf.sprintf "%h" (Float.max floor (Rctree.Tree.capacitance tree (row + 1)) /. 5e-11))
+              (Printf.sprintf "%h" c))
+          (c_over_dt op);
+        Alcotest.(check string) "source row"
+          (Printf.sprintf "%h" (Circuit.Response.conductances ~who:"x" tree).(0))
+          (Printf.sprintf "%h" (snd (List.hd (source_rows op)))));
   ]
 
 let () =

@@ -471,6 +471,27 @@ let tests =
             check_int "exit" 2 code;
             Alcotest.(check string)
               "message" (deck ^ ": Ac.bandwidth_3db: T_P = inf is not finite\n") out));
+    Alcotest.test_case "bad sta and adder flags exit 2 naming the flag" `Quick (fun () ->
+        with_netlist (fun net ->
+            List.iter
+              (fun (args, expected) ->
+                let what = String.concat " " args in
+                let code, out = run args in
+                check_int (what ^ " exit") 2 code;
+                check_bool (what ^ " names the flag") true (contains out expected);
+                check_bool (what ^ " prints no report") false (contains out "timing report"))
+              [
+                ([ "sta"; net; "--hold=-1e-12" ], "option '--hold': expected a finite time >= 0");
+                ([ "sta"; net; "--hold=nan" ], "option '--hold': expected a finite time >= 0");
+                ([ "sta"; net; "--period=nan" ], "option '--period': expected a finite time >= 0");
+                ([ "sta"; net; "--period=inf" ], "option '--period': expected a finite time >= 0");
+                ([ "sta"; net; "--period=-1" ], "option '--period': expected a finite time >= 0");
+                ( [ "adder"; "--bits"; "0" ],
+                  "option '--bits': expected a count of at least 1, got 0" );
+                ([ "adder"; "--period=-1e-9" ], "option '--period': expected a finite time >= 0");
+              ];
+            check_int "zero hold answers" 0 (fst (run [ "sta"; net; "--hold=0" ]));
+            check_int "one bit answers" 0 (fst (run [ "adder"; "--bits"; "1" ]))));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

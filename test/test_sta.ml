@@ -429,6 +429,89 @@ let netdelay_tests =
         check_bool "positive" true (lo > 0. && hi > lo));
     Alcotest.test_case "sink labels" `Quick (fun () ->
         check_string "label" "u1/a" (Sta.Netdelay.sink_label (pin "u1" "a")));
+    Alcotest.test_case "flat figures equal Rctree.Analysis on tree_of_net bit for bit" `Quick
+      (fun () ->
+        (* seeded designs: every wire shape, some with a zero R or C,
+           0 to 5 loads per net, so loadless nets of every shape too *)
+        let bits x = Printf.sprintf "%h" x in
+        let same what expected got = check_string what (bits expected) (bits got) in
+        for seed = 1 to 12 do
+          let st = Random.State.make [| seed; 0xf1a7 |] in
+          let d = Sta.Design.create lib in
+          let inst k = Printf.sprintf "g%d" k in
+          for k = 0 to 59 do
+            Sta.Design.add_instance d ~cell:(if k mod 3 = 0 then "nand2" else "inv4") (inst k)
+          done;
+          let free = Queue.create () in
+          for k = 0 to 59 do
+            Queue.add (pin (inst k) "a") free;
+            if k mod 3 = 0 then Queue.add (pin (inst k) "b") free
+          done;
+          let value () =
+            if Random.State.int st 6 = 0 then 0. else 10. +. Random.State.float st 2000.
+          in
+          for n = 0 to 39 do
+            let resistance = value () and capacitance = 1e-16 *. value () in
+            let wire =
+              match n mod 5 with
+              | 0 -> Sta.Design.Direct
+              | 1 -> Sta.Design.Lumped capacitance
+              | 2 -> Sta.Design.Line { resistance; capacitance }
+              | 3 -> Sta.Design.Star { resistance; capacitance }
+              | _ -> Sta.Design.Daisy { resistance; capacitance }
+            in
+            let loads =
+              List.init (min (Queue.length free) (Random.State.int st 6)) (fun _ -> Queue.pop free)
+            in
+            let driver =
+              if n < 20 then Sta.Design.Cell_output (pin (inst (n * 3)) "y")
+              else Sta.Design.Primary (Tech.Mosfet.driver ~on_resistance:(1. +. value ())
+                                         ~output_capacitance:(1e-16 *. value ()) ())
+            in
+            Sta.Design.add_net d ~wire ~driver ~loads (Printf.sprintf "n%d" n)
+          done;
+          let table = Sta.Netdelay.all_figures ~threshold:0.4 d in
+          List.iteri
+            (fun i (net : Sta.Design.net) ->
+              let what f = Printf.sprintf "seed %d net %s %s" seed net.net_name f in
+              let tree = Sta.Netdelay.tree_of_net d net in
+              let h = Rctree.Analysis.make tree in
+              let window id = Rctree.Analysis.delay_bounds h ~output:(`Id id) ~threshold:0.4 in
+              let f = Sta.Netdelay.figures ~threshold:0.4 d net in
+              let c_out =
+                match net.driver with
+                | Sta.Design.Primary drv -> drv.Tech.Mosfet.output_capacitance
+                | Sta.Design.Cell_output p ->
+                    (Sta.Design.cell_of d p.instance).Sta.Celllib.drive.Tech.Mosfet.output_capacitance
+              in
+              let load = Rctree.Tree.total_capacitance tree -. c_out in
+              same (what "load") load f.load;
+              same (what "table load") load table.loads.(i);
+              List.iteri
+                (fun k (label, id) ->
+                  if net.loads = [] then begin
+                    let lo, hi = window id and e = Rctree.Moments.elmore tree ~output:id in
+                    same (what "far t_min") lo (fst f.far_end);
+                    same (what "far t_max") hi (snd f.far_end);
+                    same (what "far elmore") e (Lazy.force f.far_end_elmore);
+                    same (what "table far t_min") lo table.far_min.(i);
+                    same (what "table far t_max") hi table.far_max.(i);
+                    same (what "table far elmore") e table.far_elmore.(i)
+                  end
+                  else begin
+                    let s = f.sinks.(k) and l = Sta.Design.first_load d i + k in
+                    check_string (what "label") label (Sta.Netdelay.sink_label s.sink);
+                    let e = Rctree.Analysis.elmore h ~output:(`Id id) and lo, hi = window id in
+                    same (what (label ^ " elmore")) e s.elmore;
+                    same (what (label ^ " t_min")) lo (fst s.window);
+                    same (what (label ^ " t_max")) hi (snd s.window);
+                    same (what (label ^ " table elmore")) e table.elmore.(l);
+                    same (what (label ^ " table t_min")) lo table.t_min.(l);
+                    same (what (label ^ " table t_max")) hi table.t_max.(l)
+                  end)
+                (Rctree.Tree.outputs tree))
+            (Sta.Design.nets d)
+        done);
   ]
 
 (* --- a naive oracle for the propagation ------------------------------ *)
@@ -889,6 +972,118 @@ let netlist_io_tests =
         | Ok d2 -> check_int "nets" 4 (List.length (Sta.Design.nets d2))
         | Error e -> Alcotest.failf "parse_file: %s" (Sta.Netlist_io.error_to_string e));
         Sys.remove path);
+    Alcotest.test_case "malformed netlists keep their line and message" `Quick (fun () ->
+        (* values, keys, wire shapes, pins, arities, comments, tabs,
+           blank lines, CRLF (a trailing '\r' is part of a name) and the
+           precedence drive -> loads -> wire (input), driver -> loads ->
+           wire (net); a pair's C is read before its R *)
+        let head = "cell buf4 u1\ncell nand2 u2\n" in
+        List.iter
+          (fun (text, expected) ->
+            let got =
+              match Sta.Netlist_io.parse_string lib text with
+              | Ok _ -> "ok"
+              | Error e -> Sta.Netlist_io.error_to_string e
+            in
+            check_string (Printf.sprintf "%S" text) expected got)
+          [
+            ( head ^ "input in drive=abc:0.1p loads=u1/a\n",
+              "line 3: bad drive resistance value \"abc\"" );
+            ( head ^ "net n driver=u1/y wire=lumped:1e999 loads=\n",
+              "line 3: bad lumped capacitance value \"1e999\"" );
+            ( head ^ "net n driver=u1/y wire=line:-5,1p loads=u2/a\n",
+              "line 3: bad line resistance value \"-5\"" );
+            ( head ^ "net n driver=u1/y wire=daisy:1k,nan loads=u2/a\n",
+              "line 3: bad daisy capacitance value \"nan\"" );
+            ( head ^ "input in drive=378 loads=u1/a\n",
+              "line 3: bad drive spec \"378\" (expected R:C)" );
+            ( head ^ "input in drive=1:2:3 loads=u1/a\n",
+              "line 3: bad drive spec \"1:2:3\" (expected R:C)" );
+            ( head ^ "input in drive=0:1p loads=u1/a\n",
+              "line 3: Mosfet.driver: on_resistance must be positive" );
+            (head ^ "input in drive=1k:1p\n", "line 3: input needs loads=...");
+            (head ^ "net n wire=direct loads=u2/a\n", "line 3: net needs driver=instance/pin");
+            ( head ^ "net n driver=u1/y wire=direct\n",
+              "line 3: net needs loads=... (possibly empty)" );
+            ( head ^ "input in loads=u1.a loads=u1/a\n",
+              "line 3: bad pin \"u1.a\" (expected instance/pin)" );
+            (head ^ "input in loads=u1/a loads=u1.a\n", "ok");
+            (head ^ "input in loads=u1/a extra\n", "line 3: expected key=value, got \"extra\"");
+            (head ^ "input in wire=coax:50 loads=u1/a\n", "line 3: unknown wire shape \"coax\"");
+            (head ^ "input in wire=bogus loads=u1/a\n", "line 3: unknown wire shape \"bogus\"");
+            (head ^ "input in wire=direct: loads=u1/a\n", "line 3: unknown wire shape \"direct\"");
+            (head ^ "input in wire= loads=u1/a\n", "line 3: unknown wire shape \"\"");
+            (head ^ "net n driver=u1/y wire=line:1k loads=u2/a\n", "line 3: wire line needs R,C");
+            ( head ^ "net n driver=u1/y wire=star:1k,2p,3 loads=u2/a\n",
+              "line 3: wire star needs R,C" );
+            ( head ^ "net n driver=u1/y wire=lumped: loads=u2/a\n",
+              "line 3: bad lumped capacitance value \"\"" );
+            (head ^ "input in loads=u1.a\n", "line 3: bad pin \"u1.a\" (expected instance/pin)");
+            (head ^ "input in loads=u1/a/b\n", "line 3: bad pin \"u1/a/b\" (expected instance/pin)");
+            (head ^ "input in loads=u1/a,\n", "line 3: bad pin \"\" (expected instance/pin)");
+            (head ^ "input in loads=/a\n", "line 3: bad pin \"/a\" (expected instance/pin)");
+            (head ^ "net n driver=u1 loads=\n", "line 3: bad pin \"u1\" (expected instance/pin)");
+            ("cell buf4\n", "line 1: unknown declaration \"cell\"");
+            ("cell buf4 u1 extra\n", "line 1: unknown declaration \"cell\"");
+            (head ^ "output\n", "line 3: unknown declaration \"output\"");
+            ( head ^ "net out driver=u2/y loads=\noutput out out\n",
+              "line 4: unknown declaration \"output\"" );
+            ("wire x\n", "line 1: unknown declaration \"wire\"");
+            ("input\n", "line 1: unknown declaration \"input\"");
+            ( "# only a comment\ncell buf4 u1 # trailing\ninput in loads=u1/a#x\nnet o driver=u1/y loads=\noutput o#\n",
+              "ok" );
+            ("cell buf4 u#1\ninput in loads=u/a\n", "ok");
+            ("cell\tbuf4\tu1\ninput\tin\t\tloads=u1/a\nnet o driver=u1/y loads=\noutput o\n", "ok");
+            ("\n\n   \n\t\nbanana split\n", "line 5: unknown declaration \"banana\"");
+            ( "cell buf4 u1\r\ninput in loads=u1/a\r\n",
+              "line 2: Design.add_net: unknown instance \"u1\"" );
+            ("cell buf4 u1 \r\n", "line 1: unknown declaration \"cell\"");
+            ( "cell buf4 u1\nnet o driver=u1/y loads=\r\noutput o\r\n",
+              "line 3: Design.mark_primary_output: unknown net \"o\\r\"" );
+            ( head ^ "input in drive=bad wire=coax loads=u1.a\n",
+              "line 3: bad drive spec \"bad\" (expected R:C)" );
+            ( head ^ "input in wire=coax loads=u1.a\n",
+              "line 3: bad pin \"u1.a\" (expected instance/pin)" );
+            (head ^ "input in wire=coax\n", "line 3: input needs loads=...");
+            (head ^ "net n wire=coax loads=u1.a\n", "line 3: net needs driver=instance/pin");
+            ( head ^ "net n driver=u1.y wire=coax loads=\n",
+              "line 3: bad pin \"u1.y\" (expected instance/pin)" );
+            ( head ^ "net n driver=u1/y wire=coax loads=u1.a\n",
+              "line 3: bad pin \"u1.a\" (expected instance/pin)" );
+            ( head ^ "net n driver=u1/y wire=coax loads=u2/a\n",
+              "line 3: unknown wire shape \"coax\"" );
+            (head ^ "input in =x loads=u1/a\n", "ok");
+            ( head ^ "input in loads=u1/a=b\n",
+              "line 3: Design.add_net: \"u1\" has no input pin \"a=b\" (cell buf4)" );
+            (head ^ "input in\n", "line 3: input needs loads=...");
+            ( "cell buf4 u1\ncell buf4 u1\n",
+              "line 2: Design.add_instance: duplicate instance \"u1\"" );
+            ("cell nosuch u1\n", "line 1: Design.add_instance: unknown cell \"nosuch\"");
+            ( head ^ "net n driver=u2/a loads=\n",
+              "line 3: Design.add_net: \"u2\" output pin is \"y\", not \"a\"" );
+            (head ^ "net n driver=u9/y loads=\n", "line 3: Design.add_net: unknown instance \"u9\"");
+            ( head ^ "input in loads=u1/a\ninput in2 loads=u1/a\n",
+              "line 4: Design.add_net: pin u1/a already loaded by net \"in\"" );
+            ( head ^ "input in loads=u1/a\ninput in loads=u2/a\n",
+              "line 4: Design.add_net: duplicate net \"in\"" );
+            ( head ^ "output nowhere\n",
+              "line 3: Design.mark_primary_output: unknown net \"nowhere\"" );
+            (head ^ "input in\tloads=u1/a\tu2/a\n", "line 3: expected key=value, got \"u2/a\"");
+            ( head ^ "input in loads=u1/a\x0c\n",
+              "line 3: Design.add_net: \"u1\" has no input pin \"a\\012\" (cell buf4)" );
+            ( head ^ "input in drive=1k:1p wire=lumped:2p loads=u1/a,u2/a\nnet o driver=u1/y wire=daisy:1k,1p loads=u2/b\noutput o",
+              "ok" );
+            (head ^ "design a b c\ndesign\n", "ok");
+            ( head ^ "net n driver=u1/y wire=line:-5,nan loads=u2/a\n",
+              "line 3: bad line capacitance value \"nan\"" );
+            ( head ^ "input in drive=-1:-1 loads=u1/a\n",
+              "line 3: bad drive capacitance value \"-1\"" );
+            (head ^ "input in drive=x:0 loads=u1/a\n", "line 3: bad drive resistance value \"x\"");
+            ( head ^ "net n driver=u1/y wire=star:x,y loads=u2/a\n",
+              "line 3: bad star capacitance value \"y\"" );
+            (head ^ "input in loads=u1.a,u2.b\n", "line 3: bad pin \"u1.a\" (expected instance/pin)");
+            (head ^ "input in loads=u9/a,u1.b\n", "line 3: bad pin \"u1.b\" (expected instance/pin)");
+          ]);
   ]
 
 (* --- Generate --------------------------------------------------------- *)
