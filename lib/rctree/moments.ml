@@ -63,52 +63,54 @@ let quadratic_sum t ~output =
 
    where a = R_ee is the path resistance of the parent and C_line the
    crossed edge's own distributed capacitance (counted in S2(e)/T_D(e)
-   at shared resistance a). *)
-let all_sums t =
-  let n = Tree.node_count t in
-  let rkk = Path.all_resistances_to_root t in
-  (* subtree capacitance, including each subtree's own edge line caps *)
-  let c_sub =
-    Array.init n (fun id ->
-        Tree.capacitance t id
-        +. (match Tree.element t id with Some e -> Element.capacitance e | None -> 0.))
-  in
-  for id = n - 1 downto 1 do
-    match Tree.parent t id with
-    | Some p -> c_sub.(p) <- c_sub.(p) +. c_sub.(id)
-    | None -> ()
-  done;
-  let tp = t_p t in
-  let td = Array.make n 0. in
-  let s2 = Array.make n 0. in
-  (* root: every capacitor shares nothing with the input *)
-  td.(0) <- 0.;
-  s2.(0) <- 0.;
+   at shared resistance a).  [t_r] holds C_sub until the top-down loop
+   overwrites a node's entry with its S2, after the last read of it. *)
+let sums_into ~n ~parent ~r ~c ~cl ~rkk ~t_d ~t_r =
+  let line id = cl.(id) <> 0. in
+  rkk.(0) <- 0.;
   for id = 1 to n - 1 do
-    match (Tree.parent t id, Tree.element t id) with
-    | Some p, Some elem ->
-        let a = rkk.(p) in
-        let r = Element.resistance elem in
-        let c_line = Element.capacitance elem in
-        let c_beyond = c_sub.(id) -. c_line in
-        let line_td_new, line_s2_new =
-          match elem with
-          | Element.Line _ ->
-              (line_first_moment ~a ~r ~c:c_line, line_second_moment ~a ~r ~c:c_line)
-          | Element.Resistor _ | Element.Capacitor _ -> (0., 0.)
-        in
-        td.(id) <- td.(p) +. (r *. c_beyond) +. line_td_new -. (a *. c_line);
-        s2.(id) <-
-          s2.(p)
-          +. (((2. *. r *. a) +. (r *. r)) *. c_beyond)
-          +. line_s2_new -. (a *. a *. c_line)
-    | _, _ -> ()
+    rkk.(id) <- rkk.(parent.(id)) +. r.(id)
+  done;
+  let t_p = ref 0. in
+  for id = 0 to n - 1 do
+    let on_line =
+      if id > 0 && line id then line_first_moment ~a:rkk.(parent.(id)) ~r:r.(id) ~c:cl.(id)
+      else 0.
+    in
+    t_p := !t_p +. (c.(id) *. rkk.(id)) +. on_line
+  done;
+  (* subtree capacitance, including each subtree's own edge line caps *)
+  for id = 0 to n - 1 do
+    t_r.(id) <- c.(id) +. cl.(id)
+  done;
+  for id = n - 1 downto 1 do
+    t_r.(parent.(id)) <- t_r.(parent.(id)) +. t_r.(id)
+  done;
+  (* root: every capacitor shares nothing with the input *)
+  t_d.(0) <- 0.;
+  t_r.(0) <- 0.;
+  for id = 1 to n - 1 do
+    let p = parent.(id) in
+    let a = rkk.(p) and r = r.(id) and c_line = cl.(id) in
+    let c_beyond = t_r.(id) -. c_line in
+    let line = line id in
+    let line_td_new = if line then line_first_moment ~a ~r ~c:c_line else 0. in
+    let line_s2_new = if line then line_second_moment ~a ~r ~c:c_line else 0. in
+    t_d.(id) <- t_d.(p) +. (r *. c_beyond) +. line_td_new -. (a *. c_line);
+    t_r.(id) <- t_r.(p) +. (((2. *. r *. a) +. (r *. r)) *. c_beyond) +. line_s2_new -. (a *. a *. c_line)
   done;
   (* T_Re = S2 / R_ee, in place *)
   for id = 0 to n - 1 do
-    s2.(id) <- (if rkk.(id) = 0. then 0. else s2.(id) /. rkk.(id))
+    t_r.(id) <- (if rkk.(id) = 0. then 0. else t_r.(id) /. rkk.(id))
   done;
-  (tp, td, s2)
+  !t_p
+
+let all_sums t =
+  let n = Tree.node_count t and { Tree.parents; resistance; capacitance } = Tree.flat t in
+  let cl = match Tree.line_capacitances t with [||] -> Array.make n 0. | cl -> cl in
+  let rkk = Array.make n 0. and t_d = Array.make n 0. and t_r = Array.make n 0. in
+  let tp = sums_into ~n ~parent:parents ~r:resistance ~c:capacitance ~cl ~rkk ~t_d ~t_r in
+  (tp, t_d, t_r)
 
 let all_times t =
   let t_p, td, tr = all_sums t in

@@ -40,6 +40,26 @@ val all_sums : Tree.t -> float * float array * float array
     R²·C_sub], with closed-form corrections for the crossed edge's own
     distributed capacitance.  Eq. (7) is not checked here. *)
 
+val sums_into :
+  n:int ->
+  parent:int array ->
+  r:float array ->
+  c:float array ->
+  cl:float array ->
+  rkk:float array ->
+  t_d:float array ->
+  t_r:float array ->
+  float
+(** The pass of {!all_sums} over a tree the caller lays out in flat
+    arrays, for loops over many small trees that build none: nodes [0]
+    to [n - 1], parents before children, [parent.(0)] unread; per node
+    the series resistance [r] of the edge above it, its lumped
+    capacitance [c], and [cl], the capacitance of that edge when it is
+    a distributed line ([0.] at the input and on a resistor edge).
+    Writes [R_kk], [T_De] and [T_Re] into the first [n] cells of [rkk],
+    [t_d] and [t_r] and returns [T_P]; allocates nothing.  {!all_sums}
+    is this pass on {!Tree.flat}. *)
+
 val all_times : Tree.t -> Times.t array
 (** {!all_sums} through {!Times.make}, one entry per node.  Agrees
     with {!times} to rounding (property-tested). *)

@@ -178,6 +178,7 @@ let name t = t.name
 let node_count t = Array.length t.flat.parents
 let input (_ : t) = 0
 let flat t = t.flat
+let line_capacitances t = t.line_c
 
 let check t id op =
   if id < 0 || id >= node_count t then invalid_arg (Printf.sprintf "Tree.%s: unknown node %d" op id)

@@ -79,6 +79,10 @@ val flat : t -> flat
     over every node, where {!parent} and {!element} would build an
     option per call; reading them allocates nothing. *)
 
+val line_capacitances : t -> float array
+(** Per node, the capacitance of the distributed line above it, [0.]
+    elsewhere; [[||]] in a tree without lines.  Borrowed, as {!flat}. *)
+
 val node_count : t -> int
 
 val input : t -> node_id

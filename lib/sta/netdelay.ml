@@ -73,12 +73,12 @@ type figures = {
   load : float;
 }
 
-(* One net's tree, laid out node by node and summed term by term as
-   [tree_of_net] and [Rctree.Analysis.make] would (so the answers agree
-   bit for bit), in flat arrays reused from net to net: [parent], the
-   edge resistance [r], lumped [c], the edge's line capacitance [cl] (0
-   on a resistor edge), and per node R_kk, the subtree capacitance, T_De
-   and T_Re.  [sinks.(k)] is the node of the net's k-th load. *)
+(* One net's tree as [tree_of_net] would build it, laid out node by
+   node in flat arrays reused from net to net and summed by
+   [Rctree.Moments.sums_into]: [parent], the edge resistance [r], lumped
+   [c], the line capacitance [cl] of a line edge, the pass's R_kk, T_De
+   and T_Re, and its T_P.  [sinks.(k)] is the node of the net's k-th
+   load. *)
 type scratch = {
   mutable n : int;
   mutable parent : int array;
@@ -86,34 +86,23 @@ type scratch = {
   mutable c : float array;
   mutable cl : float array;
   mutable rkk : float array;
-  mutable csub : float array;
   mutable td : float array;
   mutable tr : float array;
   mutable sinks : int array;
+  mutable t_p : float;
 }
 
 let scratch () =
-  let f () = [||] in
-  { n = 0; parent = [||]; r = f (); c = f (); cl = f (); rkk = f (); csub = f (); td = f ();
-    tr = f (); sinks = [||] }
+  { n = 0; parent = [||]; r = [||]; c = [||]; cl = [||]; rkk = [||]; td = [||]; tr = [||];
+    sinks = [||]; t_p = 0. }
 
 let reserve s nodes =
   if Array.length s.parent < nodes then begin
     let f () = Array.make (2 * nodes) 0. in
     s.parent <- Array.make (2 * nodes) 0;
     s.sinks <- Array.make (2 * nodes) 0;
-    s.r <- f (); s.c <- f (); s.cl <- f (); s.rkk <- f (); s.csub <- f (); s.td <- f ();
-    s.tr <- f ()
+    s.r <- f (); s.c <- f (); s.cl <- f (); s.rkk <- f (); s.td <- f (); s.tr <- f ()
   end
-
-(* the builder's checks and messages *)
-let finite_nonneg what x =
-  if x < 0. || not (Float.is_finite x) then
-    invalid_arg (what ^ " must be finite and non-negative")
-
-let add_cap s id c =
-  finite_nonneg "Tree.Builder.add_capacitance: capacitance" c;
-  s.c.(id) <- s.c.(id) +. c
 
 let add_edge s parent r cl =
   let id = s.n in
@@ -124,116 +113,64 @@ let add_edge s parent r cl =
   s.n <- id + 1;
   id
 
-(* [Tree.Builder.add_line]: a line without C is a resistor, one without
-   R folds its C into the parent *)
-let add_line s parent r c =
-  finite_nonneg "Element.line: value" r;
-  finite_nonneg "Element.line: value" c;
-  if c = 0. then add_edge s parent r 0.
-  else if r = 0. then begin
-    add_cap s parent c;
-    parent
-  end
-  else add_edge s parent r c
+let add_cap s id c =
+  ignore (Rctree.Element.capacitor c : Rctree.Element.t) (* its check *);
+  s.c.(id) <- s.c.(id) +. c
 
-(* [tree_of_net] for net [i] of [d]; returns the driver and, for a
-   loadless net, the far end *)
-let layout s d i =
-  let net = Design.net_of_id d i in
-  let drv =
-    match net.Design.driver with
-    | Design.Primary drv -> drv
-    | Design.Cell_output _ -> (Design.instance_cell d (Design.driver_instance d i)).Celllib.drive
-  in
-  let first = Design.first_load d i in
-  let loads = Design.first_load d (i + 1) - first in
+(* as [Tree.Builder.add_line] adds what [Element.line] makes of a wire:
+   an edge, or the capacitance of a line without R folded into [parent] *)
+let add s parent = function
+  | Rctree.Element.Resistor r -> add_edge s parent r 0.
+  | Rctree.Element.Line { resistance; capacitance } -> add_edge s parent resistance capacitance
+  | Rctree.Element.Capacitor c ->
+      add_cap s parent c;
+      parent
+
+(* lays out and sums the tree of a net driven by [drv] through [wire]
+   into [loads] pins, the k-th of capacitance [pin_cap k]; returns the
+   far end of the wire *)
+let analyse s (drv : Tech.Mosfet.driver) wire ~loads ~pin_cap =
   reserve s (loads + 3);
   s.n <- 0;
   ignore (add_edge s (-1) 0. 0.);
-  finite_nonneg "Element.resistor: value" drv.Tech.Mosfet.on_resistance;
-  let source = add_edge s 0 drv.Tech.Mosfet.on_resistance 0. in
+  let source = add s 0 (Rctree.Element.resistor drv.Tech.Mosfet.on_resistance) in
   add_cap s source drv.Tech.Mosfet.output_capacitance;
+  let line at resistance capacitance = add s at (Rctree.Element.line ~resistance ~capacitance) in
   let attach at k =
-    let u = Design.load_instance d (first + k) in
-    add_cap s at (snd (List.nth (Design.instance_cell d u).Celllib.inputs (Design.load_pin d (first + k))));
+    add_cap s at (pin_cap k);
     s.sinks.(k) <- at
   in
   let far =
-    match net.Design.wire with
+    match wire with
     | Design.Direct -> source
     | Design.Lumped c ->
         add_cap s source c;
         source
-    | Design.Line { resistance; capacitance } -> add_line s source resistance capacitance
-    | Design.Daisy { resistance; capacitance } when loads = 0 ->
-        add_line s source resistance capacitance
+    | Design.Line { resistance; capacitance } -> line source resistance capacitance
+    | Design.Daisy { resistance; capacitance } when loads = 0 -> line source resistance capacitance
     | Design.Star _ | Design.Daisy _ -> source
   in
-  (match net.Design.wire with
+  (match wire with
   | Design.Direct | Design.Lumped _ | Design.Line _ ->
       for k = 0 to loads - 1 do
         attach far k
       done
   | Design.Star { resistance; capacitance } ->
       for k = 0 to loads - 1 do
-        attach (add_line s source resistance capacitance) k
+        attach (line source resistance capacitance) k
       done
   | Design.Daisy { resistance; capacitance } ->
       let n = float_of_int loads in
       let r_seg = resistance /. n and c_seg = capacitance /. n in
       let at = ref source in
       for k = 0 to loads - 1 do
-        at := add_line s !at r_seg c_seg;
+        at := line !at r_seg c_seg;
         attach !at k
       done);
-  (drv, far)
-
-(* [Rctree.Moments.all_sums]: T_De and T_Re of every node; returns T_P *)
-let moments s =
-  let n = s.n and p = s.parent in
-  s.rkk.(0) <- 0.;
-  for id = 1 to n - 1 do
-    s.rkk.(id) <- s.rkk.(p.(id)) +. s.r.(id)
-  done;
-  for id = 0 to n - 1 do
-    s.csub.(id) <- s.c.(id) +. s.cl.(id)
-  done;
-  for id = n - 1 downto 1 do
-    s.csub.(p.(id)) <- s.csub.(p.(id)) +. s.csub.(id)
-  done;
-  let line_first id a = s.cl.(id) *. (a +. (s.r.(id) /. 2.)) in
-  let t_p = ref 0. in
-  for id = 0 to n - 1 do
-    let line = if s.cl.(id) > 0. then line_first id s.rkk.(p.(id)) else 0. in
-    t_p := !t_p +. (s.c.(id) *. s.rkk.(id)) +. line
-  done;
-  s.td.(0) <- 0.;
-  s.tr.(0) <- 0.;
-  for id = 1 to n - 1 do
-    let a = s.rkk.(p.(id)) and r = s.r.(id) and c_line = s.cl.(id) in
-    let c_beyond = s.csub.(id) -. c_line in
-    let td_new = if c_line > 0. then line_first id a else 0. in
-    let s2_new = if c_line > 0. then c_line *. ((a *. a) +. (a *. r) +. (r *. r /. 3.)) else 0. in
-    s.td.(id) <- s.td.(p.(id)) +. (r *. c_beyond) +. td_new -. (a *. c_line);
-    s.tr.(id) <-
-      s.tr.(p.(id)) +. (((2. *. r *. a) +. (r *. r)) *. c_beyond) +. s2_new -. (a *. a *. c_line)
-  done;
-  for id = 0 to n - 1 do
-    s.tr.(id) <- (if s.rkk.(id) = 0. then 0. else s.tr.(id) /. s.rkk.(id))
-  done;
-  !t_p
-
-(* the far end's Elmore delay as the per-output reference
-   [Rctree.Moments.elmore] sums it, for a loadless net, whose every node
-   lies on the path to the far end *)
-let far_elmore s =
-  let first = ref 0. in
-  for id = 0 to s.n - 1 do
-    if s.c.(id) > 0. then first := !first +. (s.c.(id) *. s.rkk.(id));
-    if s.cl.(id) > 0. then
-      first := !first +. (s.cl.(id) *. (s.rkk.(s.parent.(id)) +. (s.r.(id) /. 2.)))
-  done;
-  !first
+  s.t_p <-
+    Rctree.Moments.sums_into ~n:s.n ~parent:s.parent ~r:s.r ~c:s.c ~cl:s.cl ~rkk:s.rkk ~t_d:s.td
+      ~t_r:s.tr;
+  far
 
 (* [Rctree.Tree.total_capacitance] less the driver's own *)
 let load_of s (drv : Tech.Mosfet.driver) =
@@ -243,30 +180,30 @@ let load_of s (drv : Tech.Mosfet.driver) =
   done;
   !acc -. drv.Tech.Mosfet.output_capacitance
 
-let times s t_p id = Rctree.Times.make ~t_p ~t_d:s.td.(id) ~t_r:s.tr.(id)
-let window ts threshold = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold)
+let times s id = Rctree.Times.make ~t_p:s.t_p ~t_d:s.td.(id) ~t_r:s.tr.(id)
 
-(* the sinks of net [i], [net], once laid out and summed *)
-let sinks_of s t_p ~threshold (net : Design.net) =
-  let rec from k = function
-    | [] -> []
-    | pin :: rest ->
-        let ts = times s t_p s.sinks.(k) in
-        let sink = { sink = pin; elmore = ts.Rctree.Times.t_d; window = window ts threshold } in
-        sink :: from (k + 1) rest
-  in
-  from 0 net.Design.loads
-
+(* [far_end_elmore]: every node of a loadless net lies on the path to
+   its far end, whose Elmore delay is therefore T_P, summed in the order
+   of the per-output [Rctree.Moments.elmore] *)
 let figures ?(threshold = 0.5) d (net : Design.net) =
-  let s = scratch () in
-  let drv, far = layout s d (Design.net_id d net.Design.net_name) in
-  let t_p = moments s in
-  let sinks = Array.of_list (sinks_of s t_p ~threshold net) in
-  let loadless = Array.length sinks = 0 in
+  let s = scratch () and drv = driver_of d net and pins = Array.of_list net.Design.loads in
+  let far =
+    analyse s drv net.Design.wire ~loads:(Array.length pins) ~pin_cap:(fun k ->
+        pin_capacitance d pins.(k))
+  in
+  let window ts = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold) in
+  let sinks =
+    Array.mapi
+      (fun k pin ->
+        let ts = times s s.sinks.(k) in
+        { sink = pin; elmore = ts.Rctree.Times.t_d; window = window ts })
+      pins
+  in
+  let loadless = pins = [||] in
   {
     sinks;
-    far_end = (if loadless then window (times s t_p far) threshold else (0., 0.));
-    far_end_elmore = Lazy.from_val (if loadless then far_elmore s else 0.);
+    far_end = (if loadless then window (times s far) else (0., 0.));
+    far_end_elmore = Lazy.from_val (if loadless then s.t_p else 0.);
     load = load_of s drv;
   }
 
@@ -289,29 +226,35 @@ let all_figures ?(threshold = 0.5) d =
   in
   let s = scratch () in
   for i = 0 to nets - 1 do
-    let drv, far = layout s d i in
-    let t_p = moments s in
+    let drv =
+      match (Design.net_of_id d i).Design.driver with
+      | Design.Primary drv -> drv
+      | Design.Cell_output _ -> (Design.instance_cell d (Design.driver_instance d i)).Celllib.drive
+    in
     let first = Design.first_load d i and last = Design.first_load d (i + 1) in
+    let pin_cap k =
+      let l = first + k in
+      snd (List.nth (Design.instance_cell d (Design.load_instance d l)).Celllib.inputs (Design.load_pin d l))
+    in
+    let far = analyse s drv (Design.net_of_id d i).Design.wire ~loads:(last - first) ~pin_cap in
     for l = first to last - 1 do
-      let ts = times s t_p s.sinks.(l - first) in
+      let ts = times s s.sinks.(l - first) in
       t.elmore.(l) <- ts.Rctree.Times.t_d;
       t.t_min.(l) <- Rctree.Bounds.t_min ts threshold;
       t.t_max.(l) <- Rctree.Bounds.t_max ts threshold
     done;
     if last = first then begin
-      let ts = times s t_p far in
+      let ts = times s far in
       t.far_min.(i) <- Rctree.Bounds.t_min ts threshold;
       t.far_max.(i) <- Rctree.Bounds.t_max ts threshold;
-      t.far_elmore.(i) <- far_elmore s
+      t.far_elmore.(i) <- s.t_p
     end;
     t.loads.(i) <- load_of s drv
   done;
   t
 
 let load_capacitance d net = (figures d net).load
-
-let sink_delays ?threshold d (net : Design.net) =
-  if net.Design.loads = [] then [] else Array.to_list (figures ?threshold d net).sinks
+let sink_delays ?threshold d net = Array.to_list (figures ?threshold d net).sinks
 
 let worst_window ?threshold d net =
   match figures ?threshold d net with
@@ -321,14 +264,14 @@ let worst_window ?threshold d net =
         (fun (lo, hi) { window = l, h; _ } -> (Float.min lo l, Float.max hi h))
         sinks.(0).window sinks
 
-let all_sink_delays ?pool:_ ?(threshold = 0.5) d =
+let all_sink_delays ?pool:_ ?threshold d =
   Obs.Span.with_ ~name:"sta.netdelay_batch" @@ fun () ->
-  let s = scratch () in
+  let t = all_figures ?threshold d in
   List.init (Design.net_count d) (fun i ->
-      let net = Design.net_of_id d i in
+      let net = Design.net_of_id d i and first = Design.first_load d i in
       ( net.Design.net_name,
-        if net.Design.loads = [] then []
-        else begin
-          ignore (layout s d i);
-          sinks_of s (moments s) ~threshold net
-        end ))
+        List.mapi
+          (fun k sink ->
+            let l = first + k in
+            { sink; elmore = t.elmore.(l); window = (t.t_min.(l), t.t_max.(l)) })
+          net.Design.loads ))

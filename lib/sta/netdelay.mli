@@ -8,11 +8,12 @@
 
     The engine ({!figures}, {!all_figures}) builds no {!Rctree.Tree}: it
     lays each net's tree out node by node in flat arrays reused from net
-    to net, reading the design's ids, and runs the one-pass moments
-    recursion of {!Rctree.Moments.all_sums} over them, term for term, so
-    its answers are bit-identical to {!Rctree.Analysis} on
-    {!tree_of_net} (tested).  {!tree_of_net} stays for reports and as
-    that oracle. *)
+    to net and runs {!Rctree.Moments.sums_into} over them, the pass
+    {!Rctree.Moments.all_sums} runs on a built tree, so its answers are
+    bit-identical to {!Rctree.Analysis} on {!tree_of_net} (tested).
+    Wire values go through {!Rctree.Element}'s checked constructors and
+    its line-folding rule, as {!Rctree.Tree.Builder} does.
+    {!tree_of_net} stays for reports and as that oracle. *)
 
 val tree_of_net : Design.t -> Design.net -> Rctree.Tree.t
 (** Sink nodes are marked as outputs labelled ["instance/pin"], in
@@ -34,17 +35,18 @@ type figures = {
       (** [(t_min, t_max)] at the far end of a loadless net's wire;
           [(0, 0)] when the net has loads *)
   far_end_elmore : float Lazy.t;
-      (** Elmore delay to a loadless net's far end, summed as the
-          per-output reference [Rctree.Moments.elmore] sums it; [0] when
-          the net has loads *)
+      (** Elmore delay to a loadless net's far end: its [T_P], since
+          every node lies on the path there, equal bit for bit to the
+          per-output [Rctree.Moments.elmore]; [0] when the net has
+          loads *)
   load : float;  (** {!load_capacitance} *)
 }
 
 val figures : ?threshold:float -> Design.t -> Design.net -> figures
-(** Everything the timing engine reads about one net of the design, from
-    one flat moments pass.  {!sink_delays}, {!worst_window} and
-    {!load_capacitance} are views of it.  Raises [Not_found] when the
-    design has no net of that name. *)
+(** Everything the timing engine reads about one net, from one flat
+    moments pass over the net as given; the design supplies its cells.
+    {!sink_delays}, {!worst_window} and {!load_capacitance} are views of
+    it.  Raises [Invalid_argument] on a negative or non-finite value. *)
 
 type table = {
   elmore : float array;  (** per load id (see {!Design.first_load}) *)
@@ -58,17 +60,18 @@ type table = {
 
 val all_figures : ?threshold:float -> Design.t -> table
 (** {!figures} of every net, serially, in net-id order, into flat
-    arrays: what {!Analysis.run} reads. *)
+    arrays: what {!Analysis.run} reads.  Same per-net routine as
+    {!figures}, reading the design's ids instead of names. *)
 
 val sink_delays : ?threshold:float -> Design.t -> Design.net -> sink_delay list
 (** Threshold defaults to 0.5.  Order follows the net's load list. *)
 
 val all_sink_delays :
   ?pool:Parallel.Pool.t -> ?threshold:float -> Design.t -> (string * sink_delay list) list
-(** {!sink_delays} of every net of the design, in [Design.nets] order.
-    [pool] is accepted and ignored: a net's figures cost less than a
-    fan-out's hand-off; the parameter stays only so existing callers
-    compile. *)
+(** {!sink_delays} of every net of the design, in [Design.nets] order,
+    read off {!all_figures}.  [pool] is accepted and ignored: a net's
+    figures cost less than a fan-out's hand-off; the parameter stays
+    only so existing callers compile. *)
 
 val load_capacitance : Design.t -> Design.net -> float
 (** Total capacitance the net's driver must charge: wire plus every
