@@ -97,7 +97,8 @@ let sums_into ~n ~parent ~r ~c ~cl ~rkk ~t_d ~t_r =
     let line_td_new = if line then line_first_moment ~a ~r ~c:c_line else 0. in
     let line_s2_new = if line then line_second_moment ~a ~r ~c:c_line else 0. in
     t_d.(id) <- t_d.(p) +. (r *. c_beyond) +. line_td_new -. (a *. c_line);
-    t_r.(id) <- t_r.(p) +. (((2. *. r *. a) +. (r *. r)) *. c_beyond) +. line_s2_new -. (a *. a *. c_line)
+    t_r.(id) <-
+      t_r.(p) +. (((2. *. r *. a) +. (r *. r)) *. c_beyond) +. line_s2_new -. (a *. a *. c_line)
   done;
   (* T_Re = S2 / R_ee, in place *)
   for id = 0 to n - 1 do

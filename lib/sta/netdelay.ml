@@ -234,7 +234,8 @@ let all_figures ?(threshold = 0.5) d =
     let first = Design.first_load d i and last = Design.first_load d (i + 1) in
     let pin_cap k =
       let l = first + k in
-      snd (List.nth (Design.instance_cell d (Design.load_instance d l)).Celllib.inputs (Design.load_pin d l))
+      let inputs = (Design.instance_cell d (Design.load_instance d l)).Celllib.inputs in
+      snd (List.nth inputs (Design.load_pin d l))
     in
     let far = analyse s drv (Design.net_of_id d i).Design.wire ~loads:(last - first) ~pin_cap in
     for l = first to last - 1 do

@@ -512,6 +512,27 @@ let netdelay_tests =
                 (Rctree.Tree.outputs tree))
             (Sta.Design.nets d)
         done);
+    Alcotest.test_case "a non-finite wire is refused on a loadless net too" `Quick (fun () ->
+        (* the net as given is laid out, with the value checks of
+           Element, whether or not it has loads *)
+        let d = Sta.Design.create lib in
+        Sta.Design.add_instance d ~cell:"inv1" "u1";
+        Sta.Design.add_net d ~driver:(Sta.Design.Primary unit_drive) ~loads:[ pin "u1" "a" ] "in";
+        Sta.Design.add_net d ~wire:(Sta.Design.Lumped infinity)
+          ~driver:(Sta.Design.Cell_output (pin "u1" "y")) ~loads:[] "out";
+        Sta.Design.mark_primary_output d "out";
+        let message f = match f () with _ -> "no error" | exception Invalid_argument m -> m in
+        let expected = "Element.capacitor: value must be finite and non-negative" in
+        let out = Sta.Design.net d "out" in
+        check_string "figures" expected (message (fun () -> Sta.Netdelay.figures d out));
+        check_string "sink_delays" expected (message (fun () -> Sta.Netdelay.sink_delays d out));
+        check_string "all_sink_delays" expected
+          (message (fun () -> Sta.Netdelay.all_sink_delays d));
+        check_string "Analysis.run" expected (message (fun () -> Sta.Analysis.run d));
+        let wire = Sta.Design.Line { resistance = nan; capacitance = 1e-15 } in
+        check_string "a record not in the design"
+          "Element.line: value must be finite and non-negative"
+          (message (fun () -> Sta.Netdelay.figures d { out with Sta.Design.wire })));
   ]
 
 (* --- a naive oracle for the propagation ------------------------------ *)
