@@ -4,7 +4,7 @@ let order m = Array.length m.poles
 
 (* signed moments mu_k = (-1)^k m_k, so that H(s) = sum mu_k s^k *)
 let signed_moments tree ~output ~count =
-  let m = Higher_moments.output_moments tree ~output ~order:(count - 1) in
+  let m = Rctree.Higher_moments.output_moments tree ~output ~order:(count - 1) in
   Array.mapi (fun k v -> if k mod 2 = 0 then v else -.v) m
 
 let reduce tree ~output ~order:q =
@@ -14,21 +14,21 @@ let reduce tree ~output ~order:q =
   else begin
     (* Hankel system for the Pade denominator 1 + b1 s + ... + bq s^q:
        sum_{i=1..q} b_i mu_{k-i} = -mu_k  for k = q .. 2q-1 *)
-    let a = Numeric.Matrix.init q q (fun row i -> mu.(q + row - (i + 1))) in
+    let a = Matrix.init q q (fun row i -> mu.(q + row - (i + 1))) in
     let rhs = Array.init q (fun row -> -.mu.(q + row)) in
-    match Numeric.Lu.solve a rhs with
-    | exception Numeric.Lu.Singular _ -> None
+    match Lu.solve a rhs with
+    | exception Lu.Singular _ -> None
     | b ->
         (* D(s) coefficients, low power first *)
         let denom = Array.init (q + 1) (fun i -> if i = 0 then 1. else b.(i - 1)) in
-        let roots = Numeric.Polynomial.real_roots denom in
+        let roots = Polynomial.real_roots denom in
         if Array.length roots <> q || Array.exists (fun p -> p >= 0. || not (Float.is_finite p)) roots
         then None
         else begin
           (* residues from mu_k = sum_j r_j p_j^{-k}, k = 0..q-1 *)
-          let v = Numeric.Matrix.init q q (fun k j -> roots.(j) ** float_of_int (-k)) in
-          match Numeric.Lu.solve v (Array.sub mu 0 q) with
-          | exception Numeric.Lu.Singular _ -> None
+          let v = Matrix.init q q (fun k j -> roots.(j) ** float_of_int (-k)) in
+          match Lu.solve v (Array.sub mu 0 q) with
+          | exception Lu.Singular _ -> None
           | residues ->
               (* physical sanity: residues sum to mu_0 = 1 and are not
                  orders of magnitude beyond it (the AWE instability
@@ -42,7 +42,7 @@ let reduce tree ~output ~order:q =
 
 let rec best_effort tree ~output ~order =
   if order <= 1 then begin
-    let elmore = Moments.elmore tree ~output in
+    let elmore = Rctree.Moments.elmore tree ~output in
     if elmore = 0. then { poles = [| -1e30 |]; residues = [| 1. |] }
     else { poles = [| -1. /. elmore |]; residues = [| 1. |] }
   end
@@ -67,13 +67,3 @@ let delay m ~threshold =
     let lo, hi = Numeric.Roots.expand_bracket f ~lo:0. ~hi:(Float.max (10. *. slowest) 1e-30) in
     Numeric.Roots.brent f ~lo ~hi ~tol:(1e-12 *. Float.max 1. hi)
   end
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>order-%d model:@," (order m);
-  Array.iteri
-    (fun j p ->
-      Format.fprintf fmt "  pole %s (tau %s), residue %.5f@," (Units.format_si p)
-        (Units.format_si (-1. /. p))
-        m.residues.(j))
-    m.poles;
-  Format.fprintf fmt "@]"

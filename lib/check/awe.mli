@@ -1,6 +1,9 @@
-(** Asymptotic-waveform-style model reduction (generalized Padé).
+(** Asymptotic-waveform-style model reduction (generalized Padé), a
+    reference model: no production path calls it.  The tests compare it
+    with the moments recursion and the exact response, and it is the
+    one user of {!Polynomial}'s root finder.
 
-    {!Higher_moments} matches two moments and fits two poles; this
+    {!Rctree.Higher_moments} matches two moments and fits two poles; this
     module does the general order-q construction that the AWE line of
     work built on top of the paper: match the first [2q] transfer
     moments with a [q]-pole model
@@ -22,13 +25,13 @@ type model = {
   residues : float array;  (** matching [poles]; sums to 1 *)
 }
 
-val reduce : Tree.t -> output:Tree.node_id -> order:int -> model option
+val reduce : Rctree.Tree.t -> output:Rctree.Tree.node_id -> order:int -> model option
 (** Order-q reduction.  [None] when the Hankel system is singular, a
     pole comes out non-negative or complex, or residues are wildly
     non-physical.  Lumped trees only; [order >= 1].
     Raises [Invalid_argument] on bad arguments. *)
 
-val best_effort : Tree.t -> output:Tree.node_id -> order:int -> model
+val best_effort : Rctree.Tree.t -> output:Rctree.Tree.node_id -> order:int -> model
 (** {!reduce} at the requested order, falling back to [order-1, ...];
     order 1 (the single pole [−1/T_De]) always succeeds. *)
 
@@ -42,5 +45,3 @@ val delay : model -> threshold:float -> float
     returned).  Raises [Invalid_argument] unless [0 <= threshold < 1]. *)
 
 val order : model -> int
-
-val pp : Format.formatter -> model -> unit

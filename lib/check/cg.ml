@@ -1,4 +1,3 @@
-open Numeric
 
 type stats = { iterations : int; residual_norm : float }
 

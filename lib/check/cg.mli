@@ -7,7 +7,6 @@
     production stepper solves its tree systems directly
     ({!Numeric.Tree_ldl}). *)
 
-open Numeric
 
 type stats = { iterations : int; residual_norm : float }
 

@@ -1,4 +1,3 @@
-open Numeric
 
 type decomposition = { eigenvalues : Vector.t; eigenvectors : Matrix.t; sweeps : int }
 

@@ -7,12 +7,12 @@
     network sizes this project simulates. *)
 
 type decomposition = {
-  eigenvalues : Numeric.Vector.t;  (** ascending order *)
-  eigenvectors : Numeric.Matrix.t;  (** column [j] is the eigenvector for eigenvalue [j] *)
+  eigenvalues : Vector.t;  (** ascending order *)
+  eigenvectors : Matrix.t;  (** column [j] is the eigenvector for eigenvalue [j] *)
   sweeps : int;  (** Jacobi sweeps it took to converge *)
 }
 
-val symmetric : ?max_sweeps:int -> ?tol:float -> Numeric.Matrix.t -> decomposition
+val symmetric : ?max_sweeps:int -> ?tol:float -> Matrix.t -> decomposition
 (** [symmetric a] decomposes the symmetric matrix [a] as
     [a = V diag(lambda) V^T] with orthonormal [V].
     Only the upper triangle of [a] is read.
@@ -20,5 +20,5 @@ val symmetric : ?max_sweeps:int -> ?tol:float -> Numeric.Matrix.t -> decompositi
     sweep limit (default 64) is exhausted before the off-diagonal mass
     drops below [tol] (default [1e-14] relative). *)
 
-val reconstruct : decomposition -> Numeric.Matrix.t
+val reconstruct : decomposition -> Matrix.t
 (** [reconstruct d] is [V diag(lambda) V^T] — for testing. *)

@@ -1,16 +1,16 @@
 type t = {
   lambdas : float array; (* eigenvalues of C^{-1/2} G C^{-1/2}, ascending *)
-  coeffs : Numeric.Matrix.t; (* k_{ij}: row = matrix row of node, col = mode *)
+  coeffs : Matrix.t; (* k_{ij}: row = matrix row of node, col = mode *)
   row_of_node : int array;
 }
 
 let of_tree ?cap_floor tree =
   let sys = Mna.of_tree ?cap_floor tree in
-  let n = Numeric.Vector.dim sys.c in
+  let n = Vector.dim sys.c in
   let inv_sqrt_c = Array.map (fun c -> 1. /. sqrt c) sys.c in
   let a =
-    Numeric.Matrix.init n n (fun i j ->
-        Numeric.Matrix.get sys.g i j *. inv_sqrt_c.(i) *. inv_sqrt_c.(j))
+    Matrix.init n n (fun i j ->
+        Matrix.get sys.g i j *. inv_sqrt_c.(i) *. inv_sqrt_c.(j))
   in
   let { Eigen.eigenvalues; eigenvectors; _ } = Eigen.symmetric a in
   (* v(t) = 1 - C^{-1/2} V exp(-Λ t) V^T C^{1/2} 1 ;
@@ -19,13 +19,13 @@ let of_tree ?cap_floor tree =
     Array.init n (fun j ->
         let acc = ref 0. in
         for m = 0 to n - 1 do
-          acc := !acc +. (Numeric.Matrix.get eigenvectors m j *. sqrt sys.c.(m))
+          acc := !acc +. (Matrix.get eigenvectors m j *. sqrt sys.c.(m))
         done;
         !acc)
   in
   let coeffs =
-    Numeric.Matrix.init n n (fun i j ->
-        inv_sqrt_c.(i) *. Numeric.Matrix.get eigenvectors i j *. weights.(j))
+    Matrix.init n n (fun i j ->
+        inv_sqrt_c.(i) *. Matrix.get eigenvectors i j *. weights.(j))
   in
   { lambdas = eigenvalues; coeffs; row_of_node = sys.row_of_node }
 
@@ -46,7 +46,7 @@ let voltage r ~node t =
   else begin
     let acc = ref 1. in
     for j = 0 to Array.length r.lambdas - 1 do
-      acc := !acc -. (Numeric.Matrix.get r.coeffs row j *. exp (-.r.lambdas.(j) *. t))
+      acc := !acc -. (Matrix.get r.coeffs row j *. exp (-.r.lambdas.(j) *. t))
     done;
     !acc
   end
@@ -73,7 +73,7 @@ let residues r ~node =
   else
     Some
       (Array.init (Array.length r.lambdas) (fun j ->
-           (Numeric.Matrix.get r.coeffs row j, r.lambdas.(j))))
+           (Matrix.get r.coeffs row j, r.lambdas.(j))))
 
 let transfer_moment r ~node j =
   if j < 0 then invalid_arg "Exact.transfer_moment: negative order";
@@ -82,7 +82,7 @@ let transfer_moment r ~node j =
   else begin
     let acc = ref 0. in
     for k = 0 to Array.length r.lambdas - 1 do
-      acc := !acc +. (Numeric.Matrix.get r.coeffs row k /. (r.lambdas.(k) ** float_of_int j))
+      acc := !acc +. (Matrix.get r.coeffs row k /. (r.lambdas.(k) ** float_of_int j))
     done;
     !acc
   end
@@ -93,7 +93,7 @@ let area_above_response r ~node =
   else begin
     let acc = ref 0. in
     for j = 0 to Array.length r.lambdas - 1 do
-      acc := !acc +. (Numeric.Matrix.get r.coeffs row j /. r.lambdas.(j))
+      acc := !acc +. (Matrix.get r.coeffs row j /. r.lambdas.(j))
     done;
     !acc
   end

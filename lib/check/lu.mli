@@ -1,8 +1,8 @@
 (** LU decomposition with partial pivoting, and linear solves.
 
-    This is the workhorse behind the circuit simulator: the conductance
-    matrix of an RC network is factored once and reused for every time
-    step. *)
+    The dense oracles' solver: {!Ode} factors its iteration matrix
+    once and reuses it for every time step, {!Mna} solves for the DC
+    point, and {!Awe} solves its Hankel and Vandermonde systems. *)
 
 type factor
 (** An LU factorization of a square matrix. *)

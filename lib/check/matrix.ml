@@ -94,17 +94,6 @@ let is_symmetric ?(tol = 1e-12) m =
   done;
   !ok
 
-let map f m = { m with data = Array.map f m.data }
 let row m i = Array.init m.cols (fun j -> get m i j)
 let col m j = Array.init m.rows (fun i -> get m i j)
 
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "|";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf fmt " %10.4g" (get m i j)
-    done;
-    Format.fprintf fmt " |@,"
-  done;
-  Format.fprintf fmt "@]"

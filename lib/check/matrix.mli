@@ -1,7 +1,8 @@
 (** Dense row-major matrices of floats.
 
-    Sized for circuit-simulation use: networks of up to a few thousand
-    nodes.  Storage is a flat [float array] in row-major order. *)
+    The dense oracles' algebra ({!Mna}, {!Eigen}, {!Ode}, {!Lu}), sized
+    for their networks of at most a few hundred unknowns.  Storage is a
+    flat [float array] in row-major order. *)
 
 type t
 
@@ -48,10 +49,6 @@ val max_abs_diff : t -> t -> float
 
 val is_symmetric : ?tol:float -> t -> bool
 
-val map : (float -> float) -> t -> t
-
 val row : t -> int -> Vector.t
 
 val col : t -> int -> Vector.t
-
-val pp : Format.formatter -> t -> unit

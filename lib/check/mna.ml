@@ -1,7 +1,7 @@
 type system = {
-  g : Numeric.Matrix.t;
-  c : Numeric.Vector.t;
-  b : Numeric.Vector.t;
+  g : Matrix.t;
+  c : Vector.t;
+  b : Vector.t;
   node_of_row : int array;
   row_of_node : int array;
 }
@@ -39,9 +39,9 @@ let of_tree ?cap_floor tree =
         f
     | None -> default_cap_floor tree
   in
-  let g = Numeric.Matrix.create rows rows in
-  let b = Numeric.Vector.create rows in
-  let c = Numeric.Vector.create rows in
+  let g = Matrix.create rows rows in
+  let b = Vector.create rows in
+  let c = Vector.create rows in
   for id = 0 to n - 1 do
     if id <> input then begin
       let row = row_of_node.(id) in
@@ -62,20 +62,20 @@ let of_tree ?cap_floor tree =
               (Printf.sprintf "Mna.of_tree: node %S has a resistance too small for a finite 1/R"
                  (Rctree.Tree.node_name tree id));
           let p = match Rctree.Tree.parent tree id with Some p -> p | None -> assert false in
-          Numeric.Matrix.add_entry g row row cond;
+          Matrix.add_entry g row row cond;
           if p = input then b.(row) <- b.(row) +. cond
           else begin
             let prow = row_of_node.(p) in
-            Numeric.Matrix.add_entry g prow prow cond;
-            Numeric.Matrix.add_entry g row prow (-.cond);
-            Numeric.Matrix.add_entry g prow row (-.cond)
+            Matrix.add_entry g prow prow cond;
+            Matrix.add_entry g row prow (-.cond);
+            Matrix.add_entry g prow row (-.cond)
           end
     end
   done;
   { g; c; b; node_of_row; row_of_node }
 
 let c_matrix sys =
-  let n = Numeric.Vector.dim sys.c in
-  Numeric.Matrix.init n n (fun i j -> if i = j then sys.c.(i) else 0.)
+  let n = Vector.dim sys.c in
+  Matrix.init n n (fun i j -> if i = j then sys.c.(i) else 0.)
 
-let dc_solution sys = Numeric.Lu.solve sys.g sys.b
+let dc_solution sys = Lu.solve sys.g sys.b

@@ -11,9 +11,9 @@
     {!Rctree.Lump.discretize} first. *)
 
 type system = {
-  g : Numeric.Matrix.t;  (** conductance matrix, (n-1)×(n-1), SPD *)
-  c : Numeric.Vector.t;  (** diagonal of the capacitance matrix *)
-  b : Numeric.Vector.t;  (** input-coupling vector: [b.(i) = g_{i,input}] *)
+  g : Matrix.t;  (** conductance matrix, (n-1)×(n-1), SPD *)
+  c : Vector.t;  (** diagonal of the capacitance matrix *)
+  b : Vector.t;  (** input-coupling vector: [b.(i) = g_{i,input}] *)
   node_of_row : int array;  (** tree node backing each matrix row *)
   row_of_node : int array;  (** inverse map; [-1] for the input node *)
 }
@@ -42,10 +42,10 @@ val of_tree : ?cap_floor:float -> Rctree.Tree.t -> system
     its rule), and {!Too_large} above {!max_unknowns} unknowns, before
     anything of size n² is allocated. *)
 
-val c_matrix : system -> Numeric.Matrix.t
+val c_matrix : system -> Matrix.t
 (** The diagonal [C] as a full matrix, for the ODE steppers. *)
 
-val dc_solution : system -> Numeric.Vector.t
+val dc_solution : system -> Vector.t
 (** Node voltages with the input held at 1 V — all ones for a
     well-formed tree (every node reaches the input through resistance
     only), exposed as a sanity check. *)

@@ -1,4 +1,3 @@
-open Numeric
 
 type scheme = Backward_euler | Trapezoidal
 

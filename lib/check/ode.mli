@@ -13,7 +13,6 @@
     with them; trapezoidal is taken in the [(2C/dt - G)] form, not the
     production stepper's midpoint form. *)
 
-open Numeric
 
 type stepper
 

@@ -82,7 +82,7 @@ let real_roots ?(tol = 1e-13) p =
           let fa = f a and fb = f b in
           if fa = 0. then record a
           else if fa *. fb < 0. then
-            record (Roots.brent f ~lo:a ~hi:b ~tol:(tol *. Float.max 1. bound))
+            record (Numeric.Roots.brent f ~lo:a ~hi:b ~tol:(tol *. Float.max 1. bound))
         done;
         (* the right endpoint can itself be a root (e.g. a critical
            point sitting exactly on zero) *)
@@ -93,13 +93,3 @@ let real_roots ?(tol = 1e-13) p =
     in
     roots_of (Array.sub p 0 (d + 1))
   end
-
-let pp fmt p =
-  let d = Int.max 0 (degree p) in
-  Format.fprintf fmt "@[";
-  for i = 0 to d do
-    if i > 0 then Format.fprintf fmt " + ";
-    Format.fprintf fmt "%g" p.(i);
-    if i > 0 then Format.fprintf fmt " x^%d" i
-  done;
-  Format.fprintf fmt "@]"

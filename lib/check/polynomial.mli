@@ -30,5 +30,3 @@ val real_roots : ?tol:float -> t -> float array
     (each root reported once, whatever its multiplicity); for general
     polynomials it returns the real roots it can bracket.  Degree 0
     yields [[||]].  Raises [Invalid_argument] on the zero polynomial. *)
-
-val pp : Format.formatter -> t -> unit

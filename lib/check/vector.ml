@@ -1,8 +1,6 @@
 type t = float array
 
 let create n = Array.make n 0.
-let init = Array.init
-let copy = Array.copy
 let dim = Array.length
 let of_list = Array.of_list
 let to_list = Array.to_list
@@ -12,21 +10,9 @@ let check_dims name a b =
   if Array.length a <> Array.length b then
     invalid_arg (Printf.sprintf "Vector.%s: dimension mismatch (%d vs %d)" name (Array.length a) (Array.length b))
 
-let add a b =
-  check_dims "add" a b;
-  Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
-
 let sub a b =
   check_dims "sub" a b;
   Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
-
-let scale s a = Array.map (fun x -> s *. x) a
-
-let add_in_place dst src =
-  check_dims "add_in_place" dst src;
-  for i = 0 to Array.length dst - 1 do
-    dst.(i) <- dst.(i) +. src.(i)
-  done
 
 let axpy a x y =
   check_dims "axpy" x y;
@@ -59,15 +45,4 @@ let max_abs_diff a b =
   done;
   !m
 
-let map = Array.map
-
-let map2 f a b =
-  check_dims "map2" a b;
-  Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
 let sum = Array.fold_left ( +. ) 0.
-
-let pp fmt v =
-  Format.fprintf fmt "[@[%a@]]"
-    (Format.pp_print_array ~pp_sep:(fun f () -> Format.fprintf f ";@ ") (fun f x -> Format.fprintf f "%g" x))
-    v

@@ -1,17 +1,12 @@
 (** Dense floating-point vectors.
 
-    Thin, allocation-explicit wrappers over [float array].  Functions
-    never mutate their inputs unless the name says so ([add_in_place],
-    [scale_in_place], ...). *)
+    Thin, allocation-explicit wrappers over [float array].  Only
+    [fill], [axpy] and [scale_in_place] mutate an argument. *)
 
 type t = float array
 
 val create : int -> t
 (** [create n] is a zero vector of dimension [n]. *)
-
-val init : int -> (int -> float) -> t
-
-val copy : t -> t
 
 val dim : t -> int
 
@@ -21,15 +16,9 @@ val to_list : t -> float list
 
 val fill : t -> float -> unit
 
-val add : t -> t -> t
-(** Element-wise sum.  Raises [Invalid_argument] on dimension mismatch. *)
-
 val sub : t -> t -> t
-
-val scale : float -> t -> t
-
-val add_in_place : t -> t -> unit
-(** [add_in_place dst src] sets [dst.(i) <- dst.(i) +. src.(i)]. *)
+(** Element-wise difference.  Raises [Invalid_argument] on dimension
+    mismatch, as do {!axpy}, {!dot} and {!max_abs_diff}. *)
 
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] sets [y <- a*x + y] in place. *)
@@ -47,10 +36,4 @@ val norm_inf : t -> float
 val max_abs_diff : t -> t -> float
 (** [norm_inf (sub a b)] without the intermediate allocation. *)
 
-val map : (float -> float) -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-
 val sum : t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -47,11 +47,11 @@ val operator : ?cap_floor:float -> Rctree.Tree.t -> dt:float -> operator
     lines, an edge {!Response.conductances} rejects, or a node whose
     floored [C/dt] is not finite (the message names the node). *)
 
-val apply : operator -> Numeric.Vector.t -> Numeric.Vector.t
+val apply : operator -> float array -> float array
 (** One operator application: the matrix of the conjugate-gradient
     oracle, and a check on the dense stamping. *)
 
-val apply_into : operator -> Numeric.Vector.t -> into:Numeric.Vector.t -> unit
+val apply_into : operator -> float array -> into:float array -> unit
 (** {!apply} into a caller-owned buffer (no allocation). *)
 
 val node_count : operator -> int
@@ -62,7 +62,7 @@ val row : operator -> Rctree.Tree.node_id -> int
     driven input (node 0).  Raises [Invalid_argument] on an unknown
     node. *)
 
-val c_over_dt : operator -> Numeric.Vector.t
+val c_over_dt : operator -> float array
 (** The [C/dt] diagonal by row — borrowed, do not mutate.  With the
     operator built at [dt/2] this is the trapezoidal [2C/dt]. *)
 

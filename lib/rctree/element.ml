@@ -20,8 +20,6 @@ let line ~resistance ~capacitance =
   else if resistance = 0. then Capacitor capacitance
   else Line { resistance; capacitance }
 
-let of_urc = line
-
 let resistance = function
   | Resistor r -> r
   | Capacitor _ -> 0.

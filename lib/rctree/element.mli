@@ -3,7 +3,7 @@
     The paper builds every tree from one primitive, the uniform RC line
     [URC R C]; a lumped resistor is [URC R 0] and a lumped capacitor is
     [URC 0 C].  This module keeps the three cases distinct so that the
-    rest of the code can pattern-match on them, while [of_urc] performs
+    rest of the code can pattern-match on them, while {!line} performs
     the paper's reduction. *)
 
 type t =
@@ -23,9 +23,6 @@ val line : resistance:float -> capacitance:float -> t
 (** A uniform RC line.  Degenerate values reduce as in the paper:
     zero capacitance yields [Resistor], zero resistance yields
     [Capacitor].  Raises [Invalid_argument] when either is negative. *)
-
-val of_urc : resistance:float -> capacitance:float -> t
-(** Alias of {!line} — the paper's [URC R C] notation. *)
 
 val resistance : t -> float
 (** Total series resistance (0 for a capacitor). *)

@@ -34,7 +34,13 @@ let output_moments t ~output ~order =
   if output < 0 || output >= Tree.node_count t then
     invalid_arg "Higher_moments.output_moments: unknown node";
   let m = all_moments t ~order in
-  Array.init (order + 1) (fun j -> m.(j).(output))
+  Array.init (order + 1) (fun j ->
+      let v = m.(j).(output) in
+      if not (Float.is_finite v) then
+        invalid_arg
+          (Printf.sprintf "Higher_moments.output_moments: m%d of output %S is not finite" j
+             (Tree.node_name t output));
+      v)
 
 type fit = Degenerate | Single_pole of float | Two_pole of { p1 : float; p2 : float }
 

@@ -26,7 +26,11 @@ val all_moments : Tree.t -> order:int -> float array array
     distributed lines. *)
 
 val output_moments : Tree.t -> output:Tree.node_id -> order:int -> float array
-(** The moments of one output: [[| 1; m_1; ...; m_order |]]. *)
+(** The moments of one output: [[| 1; m_1; ...; m_order |]].  Raises
+    [Invalid_argument] naming the output and the order [j] when [m_j]
+    overflows to an infinity or is NaN (an R·C product beyond the float
+    range), as do {!fit} and {!delay_estimate}, which read [m_1] and
+    [m_2]. *)
 
 type fit =
   | Degenerate  (** no resistance–capacitance product: instant response *)

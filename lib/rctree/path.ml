@@ -18,12 +18,6 @@ let all_resistances_to_root t =
   done;
   r
 
-let path_to_root t id =
-  let rec up id acc =
-    match Tree.parent t id with None -> List.rev (id :: acc) | Some p -> up p (id :: acc)
-  in
-  up id []
-
 let on_path_to t e =
   let marks = Array.make (Tree.node_count t) false in
   let rec up id =

@@ -24,6 +24,3 @@ val shared_resistances_to : Tree.t -> Tree.node_id -> float array
 
 val on_path_to : Tree.t -> Tree.node_id -> bool array
 (** [on_path_to t e] marks the nodes of the input→e path (inclusive). *)
-
-val path_to_root : Tree.t -> Tree.node_id -> Tree.node_id list
-(** Nodes from the given node up to and including the input. *)

@@ -25,7 +25,6 @@ module Transition = Transition
 module Excitation = Excitation
 module Higher_moments = Higher_moments
 module Sensitivity = Sensitivity
-module Awe = Awe
 module Incremental = Incremental
 module Convert = Convert
 module Lump = Lump
@@ -44,22 +43,10 @@ let analyze_named tree ~output = Analysis.times (Analysis.make tree) ~output:(`N
 let delay_bounds tree ~output ~threshold =
   Analysis.delay_bounds (Analysis.make tree) ~output:(`Id output) ~threshold
 
-let delay_bounds_named tree ~output ~threshold =
-  Analysis.delay_bounds (Analysis.make tree) ~output:(`Name output) ~threshold
-
 let voltage_bounds tree ~output ~time =
   Analysis.voltage_bounds (Analysis.make tree) ~output:(`Id output) ~time
-
-let voltage_bounds_named tree ~output ~time =
-  Analysis.voltage_bounds (Analysis.make tree) ~output:(`Name output) ~time
 
 let certify tree ~output ~threshold ~deadline =
   Analysis.certify (Analysis.make tree) ~output:(`Id output) ~threshold ~deadline
 
-let certify_named tree ~output ~threshold ~deadline =
-  Analysis.certify (Analysis.make tree) ~output:(`Name output) ~threshold ~deadline
-
 let elmore_delay tree ~output = Analysis.elmore (Analysis.make tree) ~output:(`Id output)
-
-let elmore_delay_named tree ~output =
-  Analysis.elmore (Analysis.make tree) ~output:(`Name output)

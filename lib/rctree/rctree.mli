@@ -22,7 +22,6 @@ module Transition = Transition
 module Excitation = Excitation
 module Higher_moments = Higher_moments
 module Sensitivity = Sensitivity
-module Awe = Awe
 
 module Incremental = Incremental
 (** Memoized what-if engine: persistent zipper-addressed edits over
@@ -48,30 +47,20 @@ val analyze : Tree.t -> output:Tree.node_id -> Times.t
 (** Characteristic times [T_P], [T_De], [T_Re] of an output node. *)
 
 val analyze_named : Tree.t -> output:string -> Times.t
-(** Same, addressing the output by its label.  Like every [_named]
-    variant below, raises [Invalid_argument] when no output carries
-    the label. *)
+(** Same, addressing the output by its label.  Raises
+    [Invalid_argument] when no output carries the label. *)
 
 val delay_bounds : Tree.t -> output:Tree.node_id -> threshold:float -> float * float
 (** [(t_min, t_max)] — the response certainly crosses [threshold]
     somewhere inside this window. *)
 
-val delay_bounds_named : Tree.t -> output:string -> threshold:float -> float * float
-
 val voltage_bounds : Tree.t -> output:Tree.node_id -> time:float -> float * float
 (** [(v_min, v_max)] — the step response at [time] certainly lies in
     this interval. *)
-
-val voltage_bounds_named : Tree.t -> output:string -> time:float -> float * float
 
 val certify :
   Tree.t -> output:Tree.node_id -> threshold:float -> deadline:float -> Bounds.verdict
 (** The paper's "fast enough?" question. *)
 
-val certify_named :
-  Tree.t -> output:string -> threshold:float -> deadline:float -> Bounds.verdict
-
 val elmore_delay : Tree.t -> output:Tree.node_id -> float
 (** First moment of the impulse response, [T_De]. *)
-
-val elmore_delay_named : Tree.t -> output:string -> float

@@ -40,14 +40,3 @@ let t_p_wrt_resistance t =
   require_lumped "t_p_wrt_resistance" t;
   let down = all_downstream_capacitances t in
   Array.init (Tree.node_count t) (fun id -> if id > 0 then down.(id) else 0.)
-
-let worst_resistance_sensitivity t ~output =
-  let grads = elmore_wrt_resistance t ~output in
-  let best = ref None in
-  Array.iteri
-    (fun id g ->
-      match !best with
-      | Some (_, bg) when bg >= g -> ()
-      | Some _ | None -> if id > 0 && g > 0. then best := Some (id, g))
-    grads;
-  !best

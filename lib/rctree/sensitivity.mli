@@ -30,8 +30,3 @@ val t_p_wrt_capacitance : Tree.t -> float array
 (** Per node: [R_kk]. *)
 
 val t_p_wrt_resistance : Tree.t -> float array
-
-val worst_resistance_sensitivity : Tree.t -> output:Tree.node_id -> (Tree.node_id * float) option
-(** The edge whose widening (resistance reduction) buys the most Elmore
-    delay — [None] on a single-node tree.  Ties break to the smaller
-    node id. *)

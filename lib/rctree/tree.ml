@@ -261,11 +261,6 @@ let outputs t = t.outputs
 let output_named t label = List.assoc label t.outputs
 let is_output t id = List.exists (fun (_, n) -> n = id) t.outputs
 
-let depth t id =
-  check t id "depth";
-  let rec up id acc = if id = 0 then acc else up t.flat.parents.(id) (acc + 1) in
-  up id 0
-
 let total_capacitance t =
   let acc = ref 0. in
   for i = 0 to node_count t - 1 do

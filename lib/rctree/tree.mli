@@ -110,9 +110,6 @@ val output_named : t -> string -> node_id
 
 val is_output : t -> node_id -> bool
 
-val depth : t -> node_id -> int
-(** Edges between the node and the input. *)
-
 val total_capacitance : t -> float
 (** Lumped plus distributed. *)
 

@@ -182,30 +182,36 @@ let load_of s (drv : Tech.Mosfet.driver) =
 
 let times s id = Rctree.Times.make ~t_p:s.t_p ~t_d:s.td.(id) ~t_r:s.tr.(id)
 
+(* a value that a net's layout or figures reject names the net *)
+let refuse (net : Design.net) msg =
+  invalid_arg (Printf.sprintf "net %S: %s" net.Design.net_name msg)
+
 (* [far_end_elmore]: every node of a loadless net lies on the path to
    its far end, whose Elmore delay is therefore T_P, summed in the order
    of the per-output [Rctree.Moments.elmore] *)
 let figures ?(threshold = 0.5) d (net : Design.net) =
   let s = scratch () and drv = driver_of d net and pins = Array.of_list net.Design.loads in
-  let far =
-    analyse s drv net.Design.wire ~loads:(Array.length pins) ~pin_cap:(fun k ->
-        pin_capacitance d pins.(k))
-  in
-  let window ts = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold) in
-  let sinks =
-    Array.mapi
-      (fun k pin ->
-        let ts = times s s.sinks.(k) in
-        { sink = pin; elmore = ts.Rctree.Times.t_d; window = window ts })
-      pins
-  in
-  let loadless = pins = [||] in
-  {
-    sinks;
-    far_end = (if loadless then window (times s far) else (0., 0.));
-    far_end_elmore = Lazy.from_val (if loadless then s.t_p else 0.);
-    load = load_of s drv;
-  }
+  try
+    let far =
+      analyse s drv net.Design.wire ~loads:(Array.length pins) ~pin_cap:(fun k ->
+          pin_capacitance d pins.(k))
+    in
+    let window ts = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold) in
+    let sinks =
+      Array.mapi
+        (fun k pin ->
+          let ts = times s s.sinks.(k) in
+          { sink = pin; elmore = ts.Rctree.Times.t_d; window = window ts })
+        pins
+    in
+    let loadless = pins = [||] in
+    {
+      sinks;
+      far_end = (if loadless then window (times s far) else (0., 0.));
+      far_end_elmore = Lazy.from_val (if loadless then s.t_p else 0.);
+      load = load_of s drv;
+    }
+  with Invalid_argument msg -> refuse net msg
 
 type table = {
   elmore : float array;
@@ -225,9 +231,9 @@ let all_figures ?(threshold = 0.5) d =
       far_max = per_net (); far_elmore = per_net (); loads = per_net () }
   in
   let s = scratch () in
-  for i = 0 to nets - 1 do
+  let net_figures i (net : Design.net) =
     let drv =
-      match (Design.net_of_id d i).Design.driver with
+      match net.Design.driver with
       | Design.Primary drv -> drv
       | Design.Cell_output _ -> (Design.instance_cell d (Design.driver_instance d i)).Celllib.drive
     in
@@ -237,7 +243,7 @@ let all_figures ?(threshold = 0.5) d =
       let inputs = (Design.instance_cell d (Design.load_instance d l)).Celllib.inputs in
       snd (List.nth inputs (Design.load_pin d l))
     in
-    let far = analyse s drv (Design.net_of_id d i).Design.wire ~loads:(last - first) ~pin_cap in
+    let far = analyse s drv net.Design.wire ~loads:(last - first) ~pin_cap in
     for l = first to last - 1 do
       let ts = times s s.sinks.(l - first) in
       t.elmore.(l) <- ts.Rctree.Times.t_d;
@@ -251,6 +257,10 @@ let all_figures ?(threshold = 0.5) d =
       t.far_elmore.(i) <- s.t_p
     end;
     t.loads.(i) <- load_of s drv
+  in
+  for i = 0 to nets - 1 do
+    let net = Design.net_of_id d i in
+    try net_figures i net with Invalid_argument msg -> refuse net msg
   done;
   t
 

@@ -46,7 +46,8 @@ val figures : ?threshold:float -> Design.t -> Design.net -> figures
 (** Everything the timing engine reads about one net, from one flat
     moments pass over the net as given; the design supplies its cells.
     {!sink_delays}, {!worst_window} and {!load_capacitance} are views of
-    it.  Raises [Invalid_argument] on a negative or non-finite value. *)
+    it.  Raises [Invalid_argument] on a negative or non-finite value,
+    or on figures that overflow; the message starts [net "<name>": ]. *)
 
 type table = {
   elmore : float array;  (** per load id (see {!Design.first_load}) *)

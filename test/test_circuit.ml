@@ -47,15 +47,8 @@ let waveform_tests =
     Alcotest.test_case "crossing_time" `Quick (fun () ->
         check_bool "found" true (crossing_time (w ()) ~threshold:0.25 = Some 0.5);
         check_bool "unreachable" true (crossing_time (w ()) ~threshold:2. = None));
-    Alcotest.test_case "area_above" `Quick (fun () ->
-        (* final 1, above a straight ramp 0->1 over [0,2]: area = 1 *)
-        check_close "area" 1. (area_above (w ()) ~final:1.));
     Alcotest.test_case "map_values" `Quick (fun () ->
         check_close "v" 0.5 (value_at (map_values (fun v -> v *. 2.) (w ())) 0.5));
-    Alcotest.test_case "resample" `Quick (fun () ->
-        let r = resample (w ()) ~times:[| 0.5; 1.5 |] in
-        check_int "n" 2 (length r);
-        check_close "v" 0.25 (value_at r 0.5));
     Alcotest.test_case "arrays are copied" `Quick (fun () ->
         let times = [| 0.; 1. |] and values = [| 0.; 1. |] in
         let w = create ~times ~values in
@@ -65,8 +58,6 @@ let waveform_tests =
         check_invalid "mismatch" (fun () -> create ~times:[| 0. |] ~values:[| 1.; 2. |]);
         check_invalid "empty" (fun () -> create ~times:[||] ~values:[||]);
         check_invalid "order" (fun () -> create ~times:[| 1.; 0. |] ~values:[| 0.; 1. |]));
-    Alcotest.test_case "of_samples" `Quick (fun () ->
-        check_close "v" 5. (value_at (of_samples [ (0., 0.); (1., 10.) ]) 0.5));
     Alcotest.test_case "value_at is bit-identical to Interp.linear" `Quick (fun () ->
         let st = Random.State.make [| 11 |] in
         for _ = 1 to 200 do
@@ -96,14 +87,14 @@ let mna_tests =
   [
     Alcotest.test_case "single pole stamping" `Quick (fun () ->
         let sys = of_tree (single_pole ()) in
-        check_int "rows" 1 (Numeric.Matrix.rows sys.g);
-        check_close "g" 1e-3 (Numeric.Matrix.get sys.g 0 0);
+        check_int "rows" 1 (Check.Matrix.rows sys.g);
+        check_close "g" 1e-3 (Check.Matrix.get sys.g 0 0);
         check_close "b" 1e-3 sys.b.(0);
         check_close "c" 1e-9 sys.c.(0));
     Alcotest.test_case "ladder stamping is symmetric" `Quick (fun () ->
         let sys = of_tree (ladder2 ()) in
-        check_bool "sym" true (Numeric.Matrix.is_symmetric sys.g);
-        check_close "coupling" (-1.) (Numeric.Matrix.get sys.g 0 1));
+        check_bool "sym" true (Check.Matrix.is_symmetric sys.g);
+        check_close "coupling" (-1.) (Check.Matrix.get sys.g 0 1));
     Alcotest.test_case "row maps are inverse" `Quick (fun () ->
         let tree = ladder2 () in
         let sys = of_tree tree in
@@ -134,7 +125,7 @@ let mna_tests =
     Alcotest.test_case "a system above max_unknowns is refused with its size" `Quick (fun () ->
         let chain n = Circuit.Large.rc_chain ~sections:n ~r:1. ~c:1. in
         check_int "at the limit" max_unknowns
-          (Numeric.Matrix.rows (of_tree (chain max_unknowns)).g);
+          (Check.Matrix.rows (of_tree (chain max_unknowns)).g);
         let over = chain (max_unknowns + 1) in
         let refused name f =
           match f () with
@@ -376,12 +367,12 @@ let large_tests =
         let op = operator tree ~dt in
         let sys = Check.Mna.of_tree tree in
         let dense =
-          Numeric.Matrix.add (Numeric.Matrix.scale (1. /. dt) (Check.Mna.c_matrix sys)) sys.g
+          Check.Matrix.add (Check.Matrix.scale (1. /. dt) (Check.Mna.c_matrix sys)) sys.g
         in
         let st = Random.State.make [| 3 |] in
         let x = Array.init (node_count op) (fun _ -> Random.State.float st 2. -. 1.) in
         check_close ~eps:1e-12 "same action" 0.
-          (Numeric.Vector.max_abs_diff (apply op x) (Numeric.Matrix.mul_vec dense x)));
+          (Check.Vector.max_abs_diff (apply op x) (Check.Matrix.mul_vec dense x)));
     Alcotest.test_case "matches the dense transient" `Quick (fun () ->
         let tree = rc_chain ~sections:12 ~r:100. ~c:1e-12 in
         let out = Rctree.Tree.output_named tree "out" in

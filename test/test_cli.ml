@@ -344,7 +344,7 @@ let tests =
         run_sta
           "cell inv1 u1\ninput a drive=1e308:1e308 wire=line:1e308,1e308 loads=u1/a\n\
            net y driver=u1/y loads=\noutput y\n"
-          "Times.make: values must be finite and non-negative");
+          "net \"a\": Times.make: values must be finite and non-negative");
     Alcotest.test_case "simulate: non-finite 1/R exits 2, not NaN" `Quick (fun () ->
         with_deck "V1 in 0 1\nR1 in out 5e-324\nC1 out 0 1p\n.output out\n.end\n" (fun path ->
             let code, out = run [ "simulate"; path; "--t-end"; "5e-9" ] in
@@ -492,6 +492,22 @@ let tests =
               ];
             check_int "zero hold answers" 0 (fst (run [ "sta"; net; "--hold=0" ]));
             check_int "one bit answers" 0 (fst (run [ "adder"; "--bits"; "1" ]))));
+    Alcotest.test_case "moments: an overflowing moment exits 2 naming the output" `Quick (fun () ->
+        List.iter
+          (fun (r, c, order) ->
+            with_deck (Printf.sprintf "VIN in 0 1\nR1 in out %s\nC1 out 0 %s\n.end\n" r c)
+              (fun deck ->
+                let what = Printf.sprintf "R1 = %s, C1 = %s" r c in
+                let code, out = run [ "moments"; deck ] in
+                check_int (what ^ " exit") 2 code;
+                Alcotest.(check string)
+                  (what ^ " message")
+                  (Printf.sprintf
+                     "%s: Higher_moments.output_moments: m%d of output \"out\" is not finite\n"
+                     deck order)
+                  out;
+                check_bool (what ^ " prints no inf") false (contains out "inf")))
+          [ ("1e308", "1", 2); ("1", "1e308", 2); ("1e200", "1e200", 1) ]);
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

@@ -372,14 +372,6 @@ let sensitivity_tests =
         let gr = t_p_wrt_resistance tree in
         check_close "wrt C2 is Rkk" 2. gc.(n2);
         check_close "wrt R1 is all downstream" 2. gr.(n1));
-    Alcotest.test_case "worst sensitivity picks the trunk" `Quick (fun () ->
-        let tree, n1, n2 = ladder2 () in
-        ignore n2;
-        match worst_resistance_sensitivity tree ~output:(Rctree.Tree.output_named tree "out") with
-        | Some (edge, g) ->
-            Alcotest.(check int) "edge" n1 edge;
-            check_close "grad" 2. g
-        | None -> Alcotest.fail "expected an edge");
     Alcotest.test_case "distributed lines rejected" `Quick (fun () ->
         check_invalid "lines" (fun () ->
             elmore_wrt_capacitance fig7_tree ~output:(Rctree.Tree.output_named fig7_tree "out")));
@@ -399,7 +391,7 @@ let ladder n =
   (Rctree.Tree.Builder.finish b, !at)
 
 let awe_tests =
-  let open Rctree.Awe in
+  let open Check.Awe in
   [
     Alcotest.test_case "order 2 recovers the exact ladder poles" `Quick (fun () ->
         let tree, out = ladder 2 in

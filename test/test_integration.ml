@@ -80,10 +80,10 @@ let tests =
             (Numeric.Float_cmp.approx_eq ~rtol:1e-6 m.(j)
                (Check.Exact.transfer_moment ex ~node:out j))
         done;
-        let model = Rctree.Awe.best_effort tree ~output:out ~order:3 in
+        let model = Check.Awe.best_effort tree ~output:out ~order:3 in
         let exact = Check.Exact.delay ex ~node:out ~threshold:0.5 in
         check_bool "reduced delay within 2%" true
-          (Float.abs (Rctree.Awe.delay model ~threshold:0.5 -. exact) /. exact < 0.02));
+          (Float.abs (Check.Awe.delay model ~threshold:0.5 -. exact) /. exact < 0.02));
     Alcotest.test_case "adder: generate, write, reload, same verdicts" `Quick (fun () ->
         let lib = Sta.Celllib.default p in
         let d = Sta.Generate.ripple_carry_adder ~bits:4 () in

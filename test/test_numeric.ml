@@ -1,5 +1,6 @@
-(* Unit tests for the numeric substrate, and for the solvers the
-   oracles of lib/check build on (Check.Eigen, Check.Ode, Check.Cg). *)
+(* Unit tests for the numeric substrate, and for the dense algebra and
+   solvers the oracles of lib/check build on (Check.Vector, Check.Matrix,
+   Check.Lu, Check.Polynomial, Check.Eigen, Check.Ode, Check.Cg). *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close ?(eps = 1e-9) msg a b = Alcotest.(check (float eps)) msg a b
@@ -50,17 +51,10 @@ let float_cmp_tests =
 (* --- Vector -------------------------------------------------------- *)
 
 let vector_tests =
-  let open Numeric.Vector in
+  let open Check.Vector in
   [
     Alcotest.test_case "create is zero" `Quick (fun () -> check_float "sum" 0. (sum (create 5)));
-    Alcotest.test_case "add" `Quick (fun () ->
-        let v = add [| 1.; 2. |] [| 3.; 4. |] in
-        check_float "0" 4. v.(0);
-        check_float "1" 6. v.(1));
-    Alcotest.test_case "add dimension mismatch raises" `Quick (fun () ->
-        check_invalid "add" (fun () -> add [| 1. |] [| 1.; 2. |]));
     Alcotest.test_case "sub" `Quick (fun () -> check_float "0" (-2.) (sub [| 1. |] [| 3. |]).(0));
-    Alcotest.test_case "scale" `Quick (fun () -> check_float "0" 6. (scale 2. [| 3. |]).(0));
     Alcotest.test_case "dot" `Quick (fun () -> check_float "dot" 11. (dot [| 1.; 2. |] [| 3.; 4. |]));
     Alcotest.test_case "norm2" `Quick (fun () -> check_float "norm" 5. (norm2 [| 3.; 4. |]));
     Alcotest.test_case "norm_inf" `Quick (fun () ->
@@ -71,18 +65,12 @@ let vector_tests =
         axpy 2. [| 1.; 2. |] y;
         check_float "0" 3. y.(0);
         check_float "1" 5. y.(1));
-    Alcotest.test_case "add_in_place" `Quick (fun () ->
-        let y = [| 1. |] in
-        add_in_place y [| 2. |];
-        check_float "0" 3. y.(0));
     Alcotest.test_case "scale_in_place" `Quick (fun () ->
         let y = [| 2. |] in
         scale_in_place 3. y;
         check_float "0" 6. y.(0));
     Alcotest.test_case "max_abs_diff" `Quick (fun () ->
         check_float "diff" 2. (max_abs_diff [| 1.; 5. |] [| 3.; 4. |]));
-    Alcotest.test_case "map2" `Quick (fun () ->
-        check_float "0" 3. (map2 ( +. ) [| 1. |] [| 2. |]).(0));
     Alcotest.test_case "of_list/to_list round-trip" `Quick (fun () ->
         Alcotest.(check (list (float 0.))) "round" [ 1.; 2. ] (to_list (of_list [ 1.; 2. ])));
     Alcotest.test_case "fill" `Quick (fun () ->
@@ -94,7 +82,7 @@ let vector_tests =
 (* --- Matrix -------------------------------------------------------- *)
 
 let matrix_tests =
-  let open Numeric.Matrix in
+  let open Check.Matrix in
   let m22 () = of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
   [
     Alcotest.test_case "identity mul" `Quick (fun () ->
@@ -146,7 +134,7 @@ let matrix_tests =
 (* --- Lu ------------------------------------------------------------ *)
 
 let lu_tests =
-  let open Numeric in
+  let open Check in
   [
     Alcotest.test_case "solve 2x2" `Quick (fun () ->
         let a = Matrix.of_arrays [| [| 2.; 1. |]; [| 1.; 3. |] |] in
@@ -203,7 +191,7 @@ let lu_tests =
 (* --- Eigen ---------------------------------------------------------- *)
 
 let eigen_tests =
-  let open Numeric in
+  let open Check in
   [
     Alcotest.test_case "diagonal matrix" `Quick (fun () ->
         let a = Matrix.of_arrays [| [| 3.; 0. |]; [| 0.; 1. |] |] in
@@ -317,7 +305,7 @@ let interp_tests =
 (* --- Ode ------------------------------------------------------------ *)
 
 let ode_tests =
-  let open Numeric in
+  let open Check in
   (* single RC: C v' = -G v + G u; R = 1k, C = 1u, tau = 1ms *)
   let r = 1000. and c = 1e-6 in
   let tau = r *. c in
@@ -406,7 +394,7 @@ let stats_tests =
 (* --- Cg --------------------------------------------------------------- *)
 
 let cg_tests =
-  let open Numeric in
+  let open Check in
   let spd n =
     (* tridiagonal SPD: 2 on the diagonal, -1 off *)
     Matrix.init n n (fun i j -> if i = j then 2. else if abs (i - j) = 1 then -1. else 0.)
@@ -497,7 +485,7 @@ let tree_ldl_tests =
   let subnormal v = Float.classify_float v = FP_subnormal in
   let dense_of ~parent ~diag ~offdiag =
     let n = Array.length diag in
-    Matrix.init n n (fun i j ->
+    Check.Matrix.init n n (fun i j ->
         if i = j then diag.(i)
         else if parent.(i) = j then offdiag.(i)
         else if parent.(j) = i then offdiag.(j)
@@ -514,19 +502,19 @@ let tree_ldl_tests =
         let parent, diag, offdiag = chain 30 in
         let a = dense_of ~parent ~diag ~offdiag in
         let b = Array.init 30 (fun i -> sin (float_of_int i)) in
-        let x_lu = Lu.solve a b in
+        let x_lu = Check.Lu.solve a b in
         let x_tree = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
-        check_close ~eps:1e-10 "agree" 0. (Vector.max_abs_diff x_lu x_tree));
+        check_close ~eps:1e-10 "agree" 0. (Check.Vector.max_abs_diff x_lu x_tree));
     Alcotest.test_case "random forests match dense LU" `Quick (fun () ->
         let st = Random.State.make [| 23 |] in
         for trial = 1 to 10 do
           let parent, diag, offdiag = random_forest st (2 + Random.State.int st 40) in
           let n = Array.length parent in
           let b = Array.init n (fun i -> cos (float_of_int (i + trial))) in
-          let x_lu = Lu.solve (dense_of ~parent ~diag ~offdiag) b in
+          let x_lu = Check.Lu.solve (dense_of ~parent ~diag ~offdiag) b in
           let x_tree = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
           check_close ~eps:1e-9 (Printf.sprintf "trial %d" trial) 0.
-            (Vector.max_abs_diff x_lu x_tree)
+            (Check.Vector.max_abs_diff x_lu x_tree)
         done);
     Alcotest.test_case "solve_in_place equals solve and size reports n" `Quick (fun () ->
         let parent, diag, offdiag = chain 12 in
@@ -535,7 +523,7 @@ let tree_ldl_tests =
         let b = Array.init 12 float_of_int in
         let x = Tree_ldl.solve f b in
         Tree_ldl.solve_in_place f b;
-        check_close ~eps:0. "identical" 0. (Vector.max_abs_diff x b));
+        check_close ~eps:0. "identical" 0. (Check.Vector.max_abs_diff x b));
     Alcotest.test_case "solve_in_place allocates nothing per solve" `Quick (fun () ->
         (* metrics disabled (the default): after warm-up, repeated solves
            must not touch the minor heap at all *)
@@ -575,9 +563,9 @@ let tree_ldl_tests =
               "armed" true
               (Tree_ldl.pivot_fault () = Some (0, 1.05));
             let skewed = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
-            check_bool "corrupted" true (Vector.max_abs_diff clean skewed > 1e-6));
+            check_bool "corrupted" true (Check.Vector.max_abs_diff clean skewed > 1e-6));
         let again = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
-        check_close ~eps:0. "disarmed" 0. (Vector.max_abs_diff clean again));
+        check_close ~eps:0. "disarmed" 0. (Check.Vector.max_abs_diff clean again));
     Alcotest.test_case "no subnormal output; normal entries match the unflushed solve" `Quick
       (fun () ->
         (* D = 2.2 under a -1 coupling: |l| settles near 0.64, so past the
@@ -642,7 +630,9 @@ let tree_ldl_tests =
           let b = Array.init n (fun _ -> Random.State.float st 2. -. 1.) in
           let x = Tree_ldl.solve (Tree_ldl.factor ~parent ~diag ~offdiag) b in
           let y = Tree_ldl.solve (Tree_ldl.factor_grounded ~parent ~conductance ~shunt) b in
-          check_close ~eps:1e-12 (Printf.sprintf "trial %d" trial) 0. (Vector.max_abs_diff x y)
+          check_close ~eps:1e-12
+            (Printf.sprintf "trial %d" trial)
+            0. (Check.Vector.max_abs_diff x y)
         done;
         (* a stiff chain, 1e6 S edges over about 1e-6 F/s shunts: with
            x all ones, b is the shunts plus the grounded edge at the
@@ -655,7 +645,7 @@ let tree_ldl_tests =
         in
         let b = Array.copy shunt in
         b.(0) <- conductance.(0) +. shunt.(0);
-        let error f = Vector.max_abs_diff (Tree_ldl.solve f b) (Array.make n 1.) in
+        let error f = Check.Vector.max_abs_diff (Tree_ldl.solve f b) (Array.make n 1.) in
         let diag, offdiag = assemble ~parent ~conductance ~shunt in
         let assembled = error (Tree_ldl.factor ~parent ~diag ~offdiag)
         and grounded = error (Tree_ldl.factor_grounded ~parent ~conductance ~shunt) in
@@ -673,7 +663,7 @@ let tree_ldl_tests =
 (* --- Polynomial -------------------------------------------------------- *)
 
 let polynomial_tests =
-  let open Numeric.Polynomial in
+  let open Check.Polynomial in
   [
     Alcotest.test_case "degree ignores trailing zeros" `Quick (fun () ->
         Alcotest.(check int) "deg" 2 (degree [| 1.; 2.; 3.; 0.; 0. |]);

@@ -245,7 +245,7 @@ let solver_stats_tests =
             check_int "failure counted" 1 (counter "cg.not_converged")));
     Alcotest.test_case "eigen reports sweeps" `Quick (fun () ->
         with_metrics (fun () ->
-            let m = Numeric.Matrix.of_arrays [| [| 2.; 1. |]; [| 1.; 2. |] |] in
+            let m = Check.Matrix.of_arrays [| [| 2.; 1. |]; [| 1.; 2. |] |] in
             let d = Check.Eigen.symmetric m in
             check_bool "at least one sweep" true (d.Check.Eigen.sweeps >= 1);
             let counter name =

@@ -307,7 +307,7 @@ let misc_props =
       (fun roots ->
         let roots = Array.of_list (List.sort_uniq Float.compare roots) in
         let poly = poly_of_roots roots in
-        roots_recovered poly roots (Numeric.Polynomial.real_roots poly));
+        roots_recovered poly roots (Check.Polynomial.real_roots poly));
     QCheck.Test.make ~count:30 ~name:"matrix-free simulator matches the eigendecomposition"
       arb_sim_case
       (fun { Check.Case.tree; output; _ } ->
@@ -360,7 +360,7 @@ let roots_pinned =
     Alcotest.test_case name `Quick (fun () ->
         let roots = Array.map Float.of_string roots in
         let poly = poly_of_roots roots in
-        let found = Numeric.Polynomial.real_roots poly in
+        let found = Check.Polynomial.real_roots poly in
         Alcotest.(check int) "count" (Array.length exact) (Array.length found);
         Array.iteri
           (fun i e -> Alcotest.(check (float 1e-8)) (Printf.sprintf "root %d" i) e found.(i))

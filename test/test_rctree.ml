@@ -97,9 +97,6 @@ let element_tests =
         check_bool "eq" true (equal (line ~resistance:5. ~capacitance:0.) (resistor 5.)));
     Alcotest.test_case "line reduces to capacitor" `Quick (fun () ->
         check_bool "eq" true (equal (line ~resistance:0. ~capacitance:5.) (capacitor 5.)));
-    Alcotest.test_case "of_urc is line" `Quick (fun () ->
-        check_bool "eq" true
-          (equal (of_urc ~resistance:1. ~capacitance:2.) (line ~resistance:1. ~capacitance:2.)));
     Alcotest.test_case "lumped are not distributed" `Quick (fun () ->
         check_bool "r" false (is_distributed (resistor 1.));
         check_bool "c" false (is_distributed (capacitor 1.)));
@@ -332,11 +329,33 @@ let tree_tests =
         let t, a, _, _ = build_fig7 () in
         check_bool "found" true (find_node t "a" = Some a);
         check_bool "missing" true (find_node t "zz" = None));
-    Alcotest.test_case "depth" `Quick (fun () ->
-        let t, a, side, _ = build_fig7 () in
-        check_int "input" 0 (depth t (input t));
-        check_int "a" 1 (depth t a);
-        check_int "b" 2 (depth t side));
+    Alcotest.test_case "find_node: lowest id, no name made per node" `Quick (fun () ->
+        let b = Builder.create () in
+        let explicit = Builder.add_resistor b ~parent:(Builder.input b) ~name:"n5" 1. in
+        let at = ref explicit in
+        for _ = 1 to 6 do
+          at := Builder.add_resistor b ~parent:!at 1.
+        done;
+        let late = Builder.add_resistor b ~parent:!at ~name:"n3" 1. in
+        let t = Builder.finish b in
+        check_string "default n5" "n5" (node_name t 5);
+        check_bool "explicit n5 first" true (find_node t "n5" = Some explicit);
+        check_bool "default n3 before explicit" true (find_node t "n3" = Some 3);
+        check_string "late keeps its name" "n3" (node_name t late);
+        check_bool "n6" true (find_node t "n6" = Some 6);
+        check_bool "not canonical" true (find_node t "n06" = None);
+        check_bool "input" true (find_node t "in" = Some (input t));
+        let b = Builder.create () in
+        let at = ref (Builder.input b) in
+        for _ = 1 to 100_000 do
+          at := Builder.add_resistor b ~parent:!at 1.
+        done;
+        let t = Builder.finish b in
+        let w0 = Gc.minor_words () in
+        let found = find_node t "n99999" and missing = find_node t "zz" in
+        let words = Gc.minor_words () -. w0 in
+        check_bool "deep" true (found = Some 99_999 && missing = None);
+        check_bool (Printf.sprintf "%.0f minor words" words) true (words < 100.));
     Alcotest.test_case "totals include distributed parts" `Quick (fun () ->
         let t, _, _, _ = build_fig7 () in
         check_float "cap" 22. (total_capacitance t);
@@ -378,33 +397,6 @@ let tree_tests =
         in
         check_bool (Printf.sprintf "%.2f words per node" per_node) true (per_node <= 4.);
         check_string "default name" "n70000" (node_name t 70_000));
-    Alcotest.test_case "find_node: lowest id, no name made per node" `Quick (fun () ->
-        let b = Builder.create () in
-        let explicit = Builder.add_resistor b ~parent:(Builder.input b) ~name:"n5" 1. in
-        let at = ref explicit in
-        for _ = 1 to 6 do
-          at := Builder.add_resistor b ~parent:!at 1.
-        done;
-        let late = Builder.add_resistor b ~parent:!at ~name:"n3" 1. in
-        let t = Builder.finish b in
-        check_string "default n5" "n5" (node_name t 5);
-        check_bool "explicit n5 first" true (find_node t "n5" = Some explicit);
-        check_bool "default n3 before explicit" true (find_node t "n3" = Some 3);
-        check_string "late keeps its name" "n3" (node_name t late);
-        check_bool "n6" true (find_node t "n6" = Some 6);
-        check_bool "not canonical" true (find_node t "n06" = None);
-        check_bool "input" true (find_node t "in" = Some (input t));
-        let b = Builder.create () in
-        let at = ref (Builder.input b) in
-        for _ = 1 to 100_000 do
-          at := Builder.add_resistor b ~parent:!at 1.
-        done;
-        let t = Builder.finish b in
-        let w0 = Gc.minor_words () in
-        let found = find_node t "n99999" and missing = find_node t "zz" in
-        let words = Gc.minor_words () -. w0 in
-        check_bool "deep" true (found = Some 99_999 && missing = None);
-        check_bool (Printf.sprintf "%.0f minor words" words) true (words < 100.));
     Alcotest.test_case "children keep insertion order" `Quick (fun () ->
         let b = Builder.create () in
         let hub = Builder.add_resistor b ~parent:(Builder.input b) 1. in
@@ -551,14 +543,6 @@ let path_tests =
         check_bool "m" true marks.(m);
         check_bool "e" true marks.(e);
         check_bool "k" false marks.(k));
-    Alcotest.test_case "path_to_root order" `Quick (fun () ->
-        let t, k, _, m = build_fig3 () in
-        match path_to_root t k with
-        | first :: rest ->
-            check_int "starts at k" k first;
-            check_bool "passes m" true (List.mem m rest);
-            check_int "ends at root" (Rctree.Tree.input t) (List.nth rest (List.length rest - 1))
-        | [] -> Alcotest.fail "empty path");
   ]
 
 (* --- Moments -------------------------------------------------------------- *)

@@ -522,7 +522,7 @@ let netdelay_tests =
           ~driver:(Sta.Design.Cell_output (pin "u1" "y")) ~loads:[] "out";
         Sta.Design.mark_primary_output d "out";
         let message f = match f () with _ -> "no error" | exception Invalid_argument m -> m in
-        let expected = "Element.capacitor: value must be finite and non-negative" in
+        let expected = "net \"out\": Element.capacitor: value must be finite and non-negative" in
         let out = Sta.Design.net d "out" in
         check_string "figures" expected (message (fun () -> Sta.Netdelay.figures d out));
         check_string "sink_delays" expected (message (fun () -> Sta.Netdelay.sink_delays d out));
@@ -531,7 +531,7 @@ let netdelay_tests =
         check_string "Analysis.run" expected (message (fun () -> Sta.Analysis.run d));
         let wire = Sta.Design.Line { resistance = nan; capacitance = 1e-15 } in
         check_string "a record not in the design"
-          "Element.line: value must be finite and non-negative"
+          "net \"out\": Element.line: value must be finite and non-negative"
           (message (fun () -> Sta.Netdelay.figures d { out with Sta.Design.wire })));
   ]
 
